@@ -4,9 +4,9 @@
    INVITE.  Three rogue RTP floods ride on top so the media-spam
    detector (and its alerts) exercise the instrumented paths too.
 
-   Benches that need a *different* traffic shape (the shard bench's
-   collision-free media hosts, the soak bench's pcap fixtures) keep their
-   own builders; this is the common "telemetry cost" workload. *)
+   Benches that need a *different* traffic shape (the soak bench's pcap
+   fixtures) keep their own builders; this is the common "telemetry cost"
+   workload. *)
 
 let ms = Dsim.Time.of_ms
 let sip_addr host = Dsim.Addr.v host 5060

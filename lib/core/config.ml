@@ -25,7 +25,6 @@ type t = {
   degrade_high_water : int;
   degrade_low_water : int;
   chaos_inject_every : int;
-  defer_global_detectors : bool;
 }
 
 let default =
@@ -70,7 +69,6 @@ let default =
     degrade_high_water = 0;
     degrade_low_water = 0;
     chaos_inject_every = 0;
-    defer_global_detectors = false;
   }
 
 let passive t =

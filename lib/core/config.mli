@@ -74,14 +74,6 @@ type t = {
           boundary on every [n]-th machine injection, proving that a crashing
           machine is quarantined rather than fatal.  [0] (the default) never
           injects. *)
-  defer_global_detectors : bool;
-      (** Skip the engine's own INVITE-flood and DRDoS machines and instead
-          surface their input events through {!Engine.set_global_listener}.
-          A sharded deployment sets this on every shard: those detectors
-          need cross-call totals that one shard cannot see, so the shard
-          coordinator aggregates the per-shard event counts and runs the
-          threshold checks globally.  [false] (the default) keeps the
-          detectors local — the single-engine behaviour. *)
 }
 
 val default : t

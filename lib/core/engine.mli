@@ -28,19 +28,7 @@ type counters = {
       (** Exceptions contained at a boundary (machine, timer, listener,
           packet pipeline). *)
   rtp_shed : int;  (** RTP packets whose stream-level analysis was shed while degraded. *)
-  backpressure_stalls : int;
-      (** Times a producer blocked feeding this engine's bounded input queue
-          (sharded deployment).  Stalled packets are delivered late, never
-          dropped; a growing count means this shard is the bottleneck. *)
 }
-
-type global_event =
-  | Invite_flood_candidate of string
-      (** An INVITE toward this [user\@host] request-URI — the input stream
-          of the INVITE-flood detector (paper Figure 4). *)
-  | Drdos_candidate of string
-      (** An orphan SIP response toward this victim host — the input stream
-          of the DRDoS reflection detector. *)
 
 type t
 
@@ -89,22 +77,10 @@ val on_eviction : t -> (at:Dsim.Time.t -> subject:string -> detail:string -> uni
     ageing sweeps).  Unlike {!on_alert}, which deduplicates, this fires per
     event — it feeds the write-ahead journal. *)
 
-val set_global_listener : t -> (at:Dsim.Time.t -> global_event -> unit) option -> unit
-(** Observer for the input events of the cross-call detectors (INVITE flood,
-    DRDoS).  Fires for every candidate event regardless of configuration;
-    with [Config.defer_global_detectors] set the engine {e only} emits these
-    events and skips its own local detector machines, leaving the threshold
-    decision to an external aggregator (the shard coordinator).  Listener
-    exceptions are contained and counted as faults. *)
-
-val add_backpressure_stalls : t -> int -> unit
-(** Credits producer-side queue stalls to this engine's counters (the stall
-    happens outside the engine, in the feed queue). *)
-
 (** {1 Telemetry}
 
     Optional, attached after creation so every existing construction site
-    (testbed, snapshot restore, supervisor, shard workers) keeps its
+    (testbed, snapshot restore, supervisor) keeps its
     signature.  Strictly observational: instrumentation never feeds back
     into analysis, so [Snapshot.digest] and the alert log are identical
     with telemetry on or off. *)

@@ -45,9 +45,8 @@ type t = {
     unit;
   on_pressure : subject:string -> detail:string -> unit;
   (* Call-ID strings are interned to dense ints ({!Intern}): the string is
-     hashed once per lookup — with the same FNV hash the shard partitioner
-     uses — and the call table, media index and eviction queue all key on
-     the cheap int instead of rehashing the string. *)
+     hashed once per lookup and the call table, media index and eviction
+     queue all key on the cheap int instead of rehashing the string. *)
   ids : Intern.t;
   calls : (int, call) Hashtbl.t;
   media_index : (string, int) Hashtbl.t; (* media addr -> interned call id *)

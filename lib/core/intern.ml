@@ -1,7 +1,6 @@
 (* FNV-1a, 64-bit folded into OCaml's 63-bit int.  Chosen over Hashtbl.hash
    because it reads every byte (Call-IDs from an attacker may share long
-   prefixes) and because the shard partitioner needs a hash that is stable
-   across domains and runs. *)
+   prefixes) and is stable across runs. *)
 let hash s =
   let h = ref 0xcbf29ce484222325L in
   String.iter

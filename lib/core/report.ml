@@ -43,9 +43,6 @@ let summary ppf engine =
       stats.Fact_base.calls_evicted stats.Fact_base.detectors_evicted stats.Fact_base.calls_swept;
   if c.Engine.faults > 0 then
     Format.fprintf ppf "faults contained: %d@." c.Engine.faults;
-  if c.Engine.backpressure_stalls > 0 then
-    Format.fprintf ppf "backpressure: %d producer stalls on the feed queue@."
-      c.Engine.backpressure_stalls;
   (match Engine.degraded_intervals engine with
   | [] -> ()
   | intervals ->
@@ -95,7 +92,6 @@ let json engine =
         ("anomalies", J.int c.Engine.anomalies);
         ("faults", J.int c.Engine.faults);
         ("rtp_shed", J.int c.Engine.rtp_shed);
-        ("backpressure_stalls", J.int c.Engine.backpressure_stalls);
       ]
   in
   let memory =

@@ -202,12 +202,15 @@ let system_lines buf ss =
 let body_string t =
   let buf = Buffer.create 4096 in
   let c = t.engine.Engine.Persist.p_counters in
+  (* The 14th EC field is reserved: always written as 0 and ignored on
+     read, so older snapshots still load and snapshot bytes and digests
+     keep their shape. *)
   Buffer.add_string buf
-    (Printf.sprintf "EC %d %d %d %d %d %d %d %d %d %d %d %d %d %d\n" c.Engine.sip_packets
+    (Printf.sprintf "EC %d %d %d %d %d %d %d %d %d %d %d %d %d 0\n" c.Engine.sip_packets
        c.Engine.rtp_packets c.Engine.rtcp_packets c.Engine.other_packets c.Engine.malformed_packets
        c.Engine.orphan_requests c.Engine.orphan_responses c.Engine.alerts_raised
        c.Engine.alerts_suppressed c.Engine.anomalies c.Engine.faults
-       t.engine.Engine.Persist.p_injects c.Engine.rtp_shed c.Engine.backpressure_stalls);
+       t.engine.Engine.Persist.p_injects c.Engine.rtp_shed);
   Buffer.add_string buf
     (Printf.sprintf "ET %d %d\n"
        (us t.engine.Engine.Persist.p_busy)
@@ -380,9 +383,9 @@ let of_body_lines lines =
     match String.split_on_char ' ' line with
     | [] | [ "" ] -> Ok ()
     | "EC" :: toks -> (
-        (* 13 fields through format version 1's first shape; a 14th
-           (backpressure_stalls) was appended later.  Read both: a missing
-           trailing field is zero, so old snapshots stay loadable. *)
+        (* 13 fields through format version 1's first shape; a reserved
+           14th was appended later.  Read both and ignore the 14th, so
+           every snapshot written so far stays loadable. *)
         match List.map int_of_string_opt toks with
         | [
             Some sip; Some rtp; Some rtcp; Some other; Some malformed; Some oreq; Some oresp;
@@ -392,10 +395,7 @@ let of_body_lines lines =
             Some sip; Some rtp; Some rtcp; Some other; Some malformed; Some oreq; Some oresp;
             Some raised; Some suppressed; Some anomalies; Some faults; Some injects; Some shed;
             Some _;
-          ] as shape ->
-            let stalls =
-              match shape with [ _; _; _; _; _; _; _; _; _; _; _; _; _; Some s ] -> s | _ -> 0
-            in
+          ] ->
             counters :=
               Some
                 ( {
@@ -411,7 +411,6 @@ let of_body_lines lines =
                     anomalies;
                     faults;
                     rtp_shed = shed;
-                    backpressure_stalls = stalls;
                   },
                   injects );
             Ok ()

@@ -85,8 +85,7 @@ module Quantiles : sig
   val p99 : t -> float
 
   val merge : t -> t -> t
-  (** A fresh estimator over both retained sample sets — how per-shard
-      latency distributions combine into one report. *)
+  (** A fresh estimator over both retained sample sets. *)
 
   val pp : Format.formatter -> t -> unit
   (** ["p50=… p95=… p99=… (n=…)"]. *)

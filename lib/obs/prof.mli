@@ -26,10 +26,6 @@
       dropped, never an exception);
     - [vids_gc_*] gauges sampled by {!sample_gc}.
 
-    Snapshots therefore merge across shards exactly like every other
-    registry: the coordinator folds per-worker snapshots with
-    {!Metrics.merge} and the per-stage histograms sum bucket-by-bucket.
-
     Determinism: wall times and allocation counts are host-dependent by
     nature (the same explicit exception the fsync/checkpoint histograms
     already carry); everything else — span counts, stage names, export
@@ -40,17 +36,12 @@
     [Gc.minor_words], so blocks larger than the minor heap's
     [Max_young_wosize] (big strings, large arrays) that are allocated
     directly on the major heap are invisible to per-span deltas; they do
-    show up in the [vids_gc_*] gauges.  Under OCaml 5 domains each worker
-    profiles its own domain-local minor counter, so per-shard numbers are
-    attributable and the merged totals sum them. *)
+    show up in the [vids_gc_*] gauges. *)
 
 type stage =
   | Sip_parse  (** [Sip.Msg.parse] in the classifier. *)
   | Sdp_parse  (** [Sdp.parse] of a SIP body during event construction. *)
   | Rtp_parse  (** RTP/RTCP decode in the classifier. *)
-  | Partition  (** Coordinator routing a record to its shard. *)
-  | Ring_publish  (** Coordinator pushing into a shard's SPSC queue (includes backpressure stalls). *)
-  | Ring_drain  (** Worker-side pop-to-dispatch turnaround. *)
   | Efsm_dispatch  (** Guard+action injection into per-call machines. *)
   | Detect  (** Standalone detector machines (flood, spam, DRDoS). *)
   | Enforce_gate  (** Prevention-mode verdict for one packet. *)
@@ -118,9 +109,8 @@ val sample_gc : t -> unit
 
 (** {1 Reports}
 
-    Built from any {!Metrics.snapshot} — a live registry's, or the merged
-    cross-shard snapshot — so the CLI, the bench and the coordinator all
-    share one formatter. *)
+    Built from any {!Metrics.snapshot}, so the CLI and the benches share
+    one formatter. *)
 
 type stage_report = {
   r_stage : string;

@@ -8,7 +8,7 @@
     compiled by the same staged closure compiler as the builtin machines
     and run on the unchanged hot path.
 
-    Elaboration rules (also in DESIGN.md §13): [==]/[!=] are structural
+    Elaboration rules (also in DESIGN.md §12): [==]/[!=] are structural
     {!Efsm.Value.equal} ([Ir.Eq]); [<] [<=] [>] [>=] [=] [<>] are integer
     comparisons ([Ir.Cmp]) whose operands must be integer-shaped (an
     integer literal, [int(e)], [int0(e)], or [+]/[-] arithmetic); an

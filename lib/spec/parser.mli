@@ -2,7 +2,7 @@
 
     Never raises: grammar violations become [Diag.Parse] diagnostics and
     the parser resynchronizes at the next [;] or [}], so one typo does
-    not hide the rest of the file's defects.  See DESIGN.md §13 for the
+    not hide the rest of the file's defects.  See DESIGN.md §12 for the
     grammar. *)
 
 val parse : file:string -> string -> Ast.file * Diag.t list

@@ -231,6 +231,24 @@ let sched_pending () =
   Dsim.Scheduler.run s;
   check_int "none pending" 0 (Dsim.Scheduler.pending s)
 
+let ms = Dsim.Time.of_ms
+let time = Alcotest.testable Dsim.Time.pp Dsim.Time.equal
+
+let advance_to_semantics () =
+  let sched = Dsim.Scheduler.create () in
+  let fired = ref [] in
+  let note name () = fired := name :: !fired in
+  ignore (Dsim.Scheduler.schedule_at sched (ms 10.) (note "a"));
+  ignore (Dsim.Scheduler.schedule_at sched (ms 20.) (note "b"));
+  ignore (Dsim.Scheduler.schedule_at sched (ms 30.) (note "c"));
+  Dsim.Scheduler.advance_to sched (ms 20.);
+  (* Strictly-earlier timers fire; the timer at exactly the target stays
+     pending (same-instant packets beat timers). *)
+  Alcotest.(check (list string)) "only earlier timers" [ "a" ] (List.rev !fired);
+  Alcotest.(check time) "clock at target" (ms 20.) (Dsim.Scheduler.now sched);
+  Dsim.Scheduler.run sched;
+  Alcotest.(check (list string)) "rest fire in order" [ "a"; "b"; "c" ] (List.rev !fired)
+
 (* ------------------------------------------------------------------ *)
 (* Stat                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -299,6 +317,23 @@ let counter_ops () =
   Dsim.Stat.Counter.incr c;
   Dsim.Stat.Counter.add c 5;
   check_int "value" 6 (Dsim.Stat.Counter.get c)
+
+let quantiles_exact_and_merged () =
+  let qt = Dsim.Stat.Quantiles.create () in
+  for i = 1 to 100 do
+    Dsim.Stat.Quantiles.add qt (float_of_int i)
+  done;
+  Alcotest.(check (float 1.0)) "p50" 50.0 (Dsim.Stat.Quantiles.p50 qt);
+  Alcotest.(check (float 1.0)) "p95" 95.0 (Dsim.Stat.Quantiles.p95 qt);
+  Alcotest.(check (float 1.0)) "p99" 99.0 (Dsim.Stat.Quantiles.p99 qt);
+  let a = Dsim.Stat.Quantiles.create () and b = Dsim.Stat.Quantiles.create () in
+  for i = 1 to 50 do
+    Dsim.Stat.Quantiles.add a (float_of_int i);
+    Dsim.Stat.Quantiles.add b (float_of_int (50 + i))
+  done;
+  let m = Dsim.Stat.Quantiles.merge a b in
+  Alcotest.(check int) "merged count" 100 (Dsim.Stat.Quantiles.count m);
+  Alcotest.(check (float 1.0)) "merged p50" 50.0 (Dsim.Stat.Quantiles.p50 m)
 
 (* ------------------------------------------------------------------ *)
 (* Network                                                             *)
@@ -499,6 +534,7 @@ let suite =
         tc "run_until" sched_run_until;
         tc "nested scheduling" sched_nested_scheduling;
         tc "pending count" sched_pending;
+        tc "advance_to: earlier only" advance_to_semantics;
       ] );
     ( "dsim.stat",
       [
@@ -509,6 +545,7 @@ let suite =
         tc "percentile" percentile_basics;
         tc "histogram" histogram_basics;
         tc "counter" counter_ops;
+        tc "quantiles exact, merged" quantiles_exact_and_merged;
       ] );
     ( "dsim.network",
       [

@@ -299,6 +299,20 @@ let memory_scales_linearly () =
   check_int "100 calls" 100 stats.Vids.Fact_base.active_calls;
   check_int "linear model" (100 * per_call) stats.Vids.Fact_base.modeled_bytes
 
+let intern_basics () =
+  let t = Vids.Intern.create () in
+  let a = Vids.Intern.intern t "alpha" in
+  let b = Vids.Intern.intern t "beta" in
+  Alcotest.(check bool) "distinct ids" true (a <> b);
+  Alcotest.(check int) "stable" a (Vids.Intern.intern t "alpha");
+  Alcotest.(check (option int)) "find" (Some b) (Vids.Intern.find t "beta");
+  Alcotest.(check (option int)) "miss" None (Vids.Intern.find t "gamma");
+  Alcotest.(check string) "name" "beta" (Vids.Intern.name t b);
+  Alcotest.(check int) "count" 2 (Vids.Intern.count t);
+  Alcotest.(check bool) "hash deterministic" true
+    (Vids.Intern.hash "Call-ID-1" = Vids.Intern.hash "Call-ID-1");
+  Alcotest.(check bool) "hash non-negative" true (Vids.Intern.hash "x" >= 0)
+
 (* ------------------------------------------------------------------ *)
 (* Baselines                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -409,6 +423,7 @@ let suite =
         tc "sweep" fact_base_sweep;
         tc "media index" fact_base_media_index;
         tc "memory linear" memory_scales_linearly;
+        tc "intern ids, find, hash" intern_basics;
       ] );
     ( "vids.sip_event",
       [ tc "encoding" sip_event_encoding; tc "alert formatting" alert_formatting ] );

@@ -165,14 +165,20 @@ let analysis_flags_unreachable () =
         ];
     }
   in
-  let r = Efsm.Analysis.analyze spec in
-  Alcotest.(check (list string)) "reachable" [ "A"; "B" ] r.Efsm.Analysis.reachable;
+  let r = Analyze.Verifier.verify_spec spec in
   Alcotest.(check (list string))
-    "unreachable attacks" [ "X" ] r.Efsm.Analysis.unreachable_attacks;
-  check "finals unreachable" false r.Efsm.Analysis.finals_reachable;
-  Alcotest.(check (list string)) "dead ends" [ "B" ] r.Efsm.Analysis.dead_ends;
-  check "verifier rejects" true
-    (Analyze.Verifier.machine_errors (Analyze.Verifier.verify_spec spec) <> [])
+    "reachable" [ "A"; "B" ]
+    (List.sort String.compare r.Analyze.Verifier.reachable);
+  let reachability_errors =
+    List.filter_map
+      (fun (f : Analyze.Finding.t) ->
+        if f.pass = "reachability" then Some (Option.value f.state ~default:"") else None)
+      (Analyze.Verifier.machine_errors r)
+  in
+  (* The unreachable attack state X, no reachable final, the dead end B. *)
+  Alcotest.(check (list string))
+    "unreachable attack, finals, dead end" [ ""; "B"; "X" ]
+    (List.sort String.compare reachability_errors)
 
 let analysis_accepts_paper_machines () =
   List.iter

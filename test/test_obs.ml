@@ -1,9 +1,8 @@
-(* Telemetry subsystem: the metrics registry (registration, snapshots,
-   merge), the flight recorder (ring semantics, dumps), the exporters, the
-   Quantiles.merge edge cases the registry leans on, and the two
-   engine-level contracts — telemetry is write-only (digest-identical
-   detection with telemetry on) and shard-merged counter totals equal a
-   sequential run's. *)
+(* Telemetry subsystem: the metrics registry (registration, snapshots),
+   the flight recorder (ring semantics, dumps), the exporters, the
+   Quantiles.merge edge cases the registry leans on, and the engine-level
+   contract that telemetry is write-only (digest-identical detection with
+   telemetry on). *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -143,90 +142,6 @@ let t_snapshot_isolated () =
   match M.find snap "h" with
   | Some (M.Histogram hs) -> check_int "snapshot histogram frozen" 1 hs.M.count
   | _ -> Alcotest.fail "snapshot histogram mutated"
-
-let t_merge_round_trip () =
-  let mk adds observes =
-    let m = M.create () in
-    let c = M.counter m "hits" ~labels:[ ("class", "sip") ] in
-    let g = M.gauge m "occ" in
-    let h = M.histogram m "lat" in
-    M.add c adds;
-    M.set g (float_of_int adds);
-    List.iter (M.observe h) observes;
-    m
-  in
-  let a = mk 3 [ 0.001; 0.5 ] in
-  let b = mk 5 [ 0.002 ] in
-  (* A row only one side has must pass through. *)
-  let only_a = M.counter a "only_a" in
-  M.incr only_a;
-  let merged = M.merge (M.snapshot a) (M.snapshot b) in
-  check_int "counters sum" 8 (M.total merged "hits");
-  check_int "one-sided row passes through" 1 (M.total merged "only_a");
-  (match M.find merged "occ" with
-  | Some (M.Gauge v) -> check "gauges sum" true (v = 8.0)
-  | _ -> Alcotest.fail "merged gauge wrong");
-  (match M.find merged "lat" with
-  | Some (M.Histogram hs) ->
-      check_int "histogram counts sum" 3 hs.M.count;
-      check_int "buckets sum elementwise" 3 (Array.fold_left ( + ) 0 hs.M.buckets);
-      check_int "reservoirs merge" 3 (Q.count hs.M.quantiles)
-  | _ -> Alcotest.fail "merged histogram wrong");
-  (* Rows stay sorted so exports are deterministic. *)
-  let keys = List.map (fun r -> r.M.name) merged.M.rows in
-  check "rows sorted" true (List.sort String.compare keys = keys)
-
-let t_merge_type_mismatch () =
-  let a = M.create () and b = M.create () in
-  ignore (M.counter a "x");
-  ignore (M.gauge b "x");
-  check "merge rejects mismatched types" true
-    (try
-       ignore (M.merge (M.snapshot a) (M.snapshot b));
-       false
-     with Invalid_argument _ -> true)
-
-let q_merge_totals =
-  q "metrics: split counter increments merge to the whole"
-    QCheck.(list (int_range 0 50))
-    (fun xs ->
-      let whole = M.create () in
-      let cw = M.counter whole "n" in
-      let left = M.create () and right = M.create () in
-      let cl = M.counter left "n" and cr = M.counter right "n" in
-      List.iteri
-        (fun i x ->
-          M.add cw x;
-          M.add (if i mod 2 = 0 then cl else cr) x)
-        xs;
-      let merged = M.merge (M.snapshot left) (M.snapshot right) in
-      M.total merged "n" = M.total (M.snapshot whole) "n")
-
-let q_merge_histogram_buckets =
-  q "metrics: split observations merge to the whole histogram"
-    QCheck.(list (float_bound_exclusive 1000.0))
-    (fun xs ->
-      let xs = List.map abs_float xs in
-      let whole = M.create () in
-      let hw = M.histogram whole "h" in
-      let left = M.create () and right = M.create () in
-      let hl = M.histogram left "h" and hr = M.histogram right "h" in
-      List.iteri
-        (fun i x ->
-          M.observe hw x;
-          M.observe (if i mod 3 = 0 then hl else hr) x)
-        xs;
-      let buckets snap =
-        match M.find snap "h" with
-        | Some (M.Histogram hs) -> (hs.M.buckets, hs.M.count, hs.M.sum)
-        | _ -> ([||], -1, nan)
-      in
-      let wb, wc, ws = buckets (M.snapshot whole) in
-      let mb, mc, ms = buckets (M.merge (M.snapshot left) (M.snapshot right)) in
-      (* Sums are accumulated in different orders, so compare with a
-         relative tolerance; buckets and counts are integers and exact. *)
-      wb = mb && wc = mc
-      && (xs = [] || abs_float (ws -. ms) <= 1e-9 *. Float.max 1.0 (abs_float ws)))
 
 (* --- Flight recorder ---------------------------------------------------- *)
 
@@ -480,57 +395,6 @@ let t_quarantine_dumps_flight_recorder () =
   check_int "faults counted in telemetry" (Vids.Engine.counters engine).Vids.Engine.faults
     (M.total (M.snapshot metrics) "vids_faults_total")
 
-(* --- Sharded merge equals sequential ------------------------------------ *)
-
-let t_sharded_totals_equal_sequential () =
-  (* The same trace through a 2-shard telemetry run and a sequential
-     instrumented replay: merged traffic-counter totals must be equal. *)
-  let records = ref [] in
-  let add at src dst payload = records := { Vids.Trace.at; src; dst; payload } :: !records in
-  for i = 0 to 39 do
-    add
-      (Dsim.Time.of_ms (float_of_int (10 * i)))
-      (sip_addr "10.1.0.2") (sip_addr "10.2.0.2")
-      (invite ~call_id:(Printf.sprintf "shard-%d" i))
-  done;
-  for i = 0 to 19 do
-    add
-      (Dsim.Time.of_ms (float_of_int ((10 * i) + 5)))
-      (Dsim.Addr.v "10.5.0.1" 22000)
-      (Dsim.Addr.v (Printf.sprintf "10.6.0.%d" (i mod 4)) 22000)
-      rtp_bytes
-  done;
-  let trace = List.rev !records in
-  let sched = Dsim.Scheduler.create () in
-  let engine = Vids.Engine.create sched in
-  let metrics = M.create () in
-  Vids.Engine.set_telemetry engine ~metrics ();
-  ignore (Vids.Trace.schedule_into sched engine trace);
-  Dsim.Scheduler.run_until sched (sec 30.0);
-  let seq_snap = M.snapshot metrics in
-  let outcome =
-    Shard.Shard_engine.run_trace ~telemetry:true ~horizon:(sec 30.0) ~shards:2 trace
-  in
-  let merged =
-    match outcome.Shard.Shard_engine.metrics with
-    | Some s -> s
-    | None -> Alcotest.fail "telemetry run produced no merged snapshot"
-  in
-  List.iter
-    (fun cls ->
-      let get snap =
-        match M.find snap ~labels:[ ("class", cls) ] "vids_packets_total" with
-        | Some (M.Counter n) -> n
-        | _ -> 0
-      in
-      check_int (cls ^ " packets equal") (get seq_snap) (get merged))
-    [ "sip"; "rtp"; "rtcp"; "other"; "malformed" ];
-  check_int "total packets equal"
-    (M.total seq_snap "vids_packets_total")
-    (M.total merged "vids_packets_total");
-  (* Worker flight recorders came back across the domain join. *)
-  check_int "one flight per shard" 2 (Array.length outcome.Shard.Shard_engine.flights)
-
 (* --- Hot-path profiler --------------------------------------------------- *)
 
 module P = Obs.Prof
@@ -671,53 +535,6 @@ let t_prof_export_formats () =
     (fun needle -> check ("report json has " ^ needle) true (contains ~needle js))
     [ {|"stage"|}; {|"spans"|}; {|"self_s"|}; {|"share"|}; {|"bytes_per_record"|} ]
 
-let t_prof_shard_merge () =
-  let records = ref [] in
-  let add at src dst payload = records := { Vids.Trace.at; src; dst; payload } :: !records in
-  for i = 0 to 39 do
-    add
-      (Dsim.Time.of_ms (float_of_int (10 * i)))
-      (sip_addr "10.1.0.2") (sip_addr "10.2.0.2")
-      (invite ~call_id:(Printf.sprintf "pshard-%d" i))
-  done;
-  for i = 0 to 19 do
-    add
-      (Dsim.Time.of_ms (float_of_int ((10 * i) + 5)))
-      (Dsim.Addr.v "10.5.0.1" 22000)
-      (Dsim.Addr.v (Printf.sprintf "10.6.0.%d" (i mod 4)) 22000)
-      rtp_bytes
-  done;
-  let trace = List.rev !records in
-  (* Sequential profiled replay for the parse-span ground truth. *)
-  let sched = Dsim.Scheduler.create () in
-  let engine = Vids.Engine.create sched in
-  let p = P.create () in
-  Vids.Engine.set_profiler engine (Some p);
-  ignore (Vids.Trace.schedule_into sched engine trace);
-  Dsim.Scheduler.run_until sched (sec 30.0);
-  let seq_snap = M.snapshot (P.registry p) in
-  let outcome = Shard.Shard_engine.run_trace ~profile:true ~horizon:(sec 30.0) ~shards:2 trace in
-  let merged =
-    match outcome.Shard.Shard_engine.metrics with
-    | Some s -> s
-    | None -> Alcotest.fail "profiled shard run produced no merged snapshot"
-  in
-  let spans snap stage =
-    match M.find snap ~labels:[ ("stage", stage) ] "vids_stage_spans_total" with
-    | Some (M.Counter n) -> n
-    | _ -> 0
-  in
-  (* Parse spans are per packet, so the merged cross-shard counts must
-     equal the sequential run's exactly. *)
-  List.iter
-    (fun stage -> check_int (stage ^ " spans equal") (spans seq_snap stage) (spans merged stage))
-    [ "sip-parse"; "rtp-parse" ];
-  (* Dispatcher- and worker-side plumbing stages cover every record. *)
-  let n = List.length trace in
-  check_int "partition spans = records" n (spans merged "partition");
-  check_int "ring-publish spans = records" n (spans merged "ring-publish");
-  check_int "ring-drain spans = records" n (spans merged "ring-drain")
-
 let suite =
   [
     ( "obs.quantiles",
@@ -733,10 +550,6 @@ let suite =
         tc "counters monotone" t_counter_monotone;
         tc "snapshot values" t_snapshot_values;
         tc "snapshot isolated from later writes" t_snapshot_isolated;
-        tc "merge round-trip" t_merge_round_trip;
-        tc "merge type mismatch rejected" t_merge_type_mismatch;
-        q_merge_totals;
-        q_merge_histogram_buckets;
       ] );
     ( "obs.trace",
       [
@@ -759,8 +572,6 @@ let suite =
         tc "registry mirrors engine counters" t_counters_match_engine;
         tc "quarantine dumps the flight recorder" t_quarantine_dumps_flight_recorder;
       ] );
-    ( "obs.shard",
-      [ tc "merged totals equal sequential" t_sharded_totals_equal_sequential ] );
     ( "obs.prof",
       [
         tc "self time excludes nested children" t_prof_self_time;
@@ -770,6 +581,5 @@ let suite =
         tc "sampled spans reach the flight recorder" t_prof_flight_sampling;
         q_prof_digest_transparent;
         tc "exports carry stage and gc rows" t_prof_export_formats;
-        tc "shard merge sums per-stage spans" t_prof_shard_merge;
       ] );
   ]

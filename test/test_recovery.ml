@@ -223,6 +223,42 @@ let snapshot_restore_digest () =
       Alcotest.(check string) "restored digest equal" original
         (Vids.Snapshot.digest ~at engine')
 
+(* Checkpoints written before the 14th EC field was reserved may carry a
+   nonzero value there; they must still restore, and re-capture with 0. *)
+let snapshot_reserved_ec_field () =
+  let sched, engine = engine_at ~config:None ~calls:12 (ms 450.) in
+  let at = Dsim.Scheduler.now sched in
+  let text = Vids.Snapshot.to_string (Vids.Snapshot.capture ~seq:2 ~at engine) in
+  let header_end = String.index text '\n' + 1 in
+  let trailer_start = String.rindex_from text (String.length text - 2) '\n' + 1 in
+  let body = String.sub text header_end (trailer_start - header_end) in
+  let ec_fields = ref [] in
+  let old_body =
+    String.split_on_char '\n' body
+    |> List.map (fun line ->
+           match String.split_on_char ' ' line with
+           | "EC" :: fields when List.length fields = 14 ->
+               ec_fields := fields;
+               String.concat " " ("EC" :: List.filteri (fun i _ -> i < 13) fields @ [ "7" ])
+           | _ -> line)
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) "reserved field written as 0" "0" (List.nth !ec_fields 13);
+  let old_text =
+    String.sub text 0 header_end ^ old_body
+    ^ Printf.sprintf "END %s %d\n" (Vids.Codec.crc32_hex old_body) (String.length old_body)
+  in
+  match Vids.Snapshot.of_string old_text with
+  | Error e -> Alcotest.failf "old-format snapshot rejected: %s" e
+  | Ok snap -> (
+      match Vids.Snapshot.restore snap with
+      | Error e -> Alcotest.failf "restore failed: %s" e
+      | Ok (_, restored) ->
+          Alcotest.(check string) "restored digest equal" (Vids.Snapshot.digest ~at engine)
+            (Vids.Snapshot.digest ~at restored);
+          Alcotest.(check string) "re-captures with 0" text
+            (Vids.Snapshot.to_string (Vids.Snapshot.capture ~seq:2 ~at restored)))
+
 (* ------------------------------------------------------------------ *)
 (* The convergence property: checkpoint ∘ crash ∘ recover ≡ no-crash   *)
 (* ------------------------------------------------------------------ *)
@@ -688,6 +724,7 @@ let suite =
         journal_line_roundtrip;
         tc "snapshot text round-trip" snapshot_text_roundtrip;
         tc "snapshot restore digest" snapshot_restore_digest;
+        tc "reserved EC field ignored" snapshot_reserved_ec_field;
         convergence_prop;
         tc "convergence at fixed cuts" convergence_fixed;
         snapshot_fuzz;
