@@ -131,6 +131,35 @@ let cpu_overhead (with_ : run_result) =
   Format.printf "modeled analysis busy time: %.1f s over %.0f s simulated@." busy duration;
   Format.printf "=> CPU overhead: %.1f%% (paper: 3.6%%)@." (100.0 *. busy /. duration)
 
+(* The measured side of §7.3: the live heap one answered call keeps, as the
+   live-word delta (after full major collections) over [calls] calls that
+   each got INVITE, 200 OK and ACK but no BYE, so every record stays in the
+   fact base.  INVITEs are 200 ms apart, under the flood threshold. *)
+let measured_bytes_per_call ~calls =
+  let sched = Dsim.Scheduler.create () in
+  let engine = Vids.Engine.create sched in
+  let alloc = Dsim.Packet.allocator () in
+  let feed src dst payload =
+    Vids.Engine.process_packet engine
+      (Dsim.Packet.make alloc ~src ~dst ~sent_at:(Dsim.Scheduler.now sched) payload)
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let a_sig = Workload.sip_addr "10.1.0.2" and b_sig = Workload.sip_addr "10.2.0.2" in
+  let before = live_words () in
+  for i = 0 to calls - 1 do
+    Dsim.Scheduler.run_until sched (Workload.ms (float_of_int (200 * i)));
+    let call_id = Printf.sprintf "mem-%d" i and port = 16384 + (2 * (i mod 8192)) in
+    feed a_sig b_sig (Workload.invite ~call_id ~port);
+    feed b_sig a_sig (Workload.response ~call_id ~code:200 ~cseq:"1 INVITE" ~sdp:true ~port);
+    feed a_sig b_sig (Workload.ack ~call_id)
+  done;
+  let after = live_words () in
+  let open_calls = (Vids.Engine.memory_stats engine).Vids.Fact_base.active_calls in
+  (open_calls, (after - before) * (Sys.word_size / 8) / calls)
+
 let memory_cost (with_ : run_result) =
   banner "Section 7.3: memory cost of call monitoring";
   let engine = T.engine_exn with_.tb in
@@ -139,6 +168,10 @@ let memory_cost (with_ : run_result) =
   let per_call = config.Vids.Config.sip_state_bytes + config.Vids.Config.rtp_state_bytes in
   Format.printf "per-call state: %d B SIP + %d B RTP = %d B (paper: ~450 B + ~40 B)@."
     config.Vids.Config.sip_state_bytes config.Vids.Config.rtp_state_bytes per_call;
+  let calls = 1000 in
+  let open_calls, measured = measured_bytes_per_call ~calls in
+  Format.printf "measured: %d B per answered call (live-heap delta over %d open calls)@."
+    measured open_calls;
   Format.printf "workload: %d calls created, %d deleted, peak %d concurrent@."
     stats.Vids.Fact_base.calls_created stats.Vids.Fact_base.calls_deleted
     stats.Vids.Fact_base.peak_calls;

@@ -145,8 +145,13 @@ exception Chaos_fault
 
 (* Runs [f] inside the containment boundary.  An escaping exception is
    counted, reported as an [Engine_fault] alert, and returned so the call
-   site can quarantine the offending record; it never unwinds further. *)
-let contain t ~subject ~origin f =
+   site can quarantine the offending record; it never unwinds further.
+   The alert's subject is [subject of_], built only when a fault is
+   actually contained: the boundary wraps every packet, and formatting a
+   subject up front would cost a string per packet.  [subject] is a
+   toplevel function rather than a closure over [of_], so passing it
+   allocates nothing either. *)
+let contain t ~subject of_ ~origin f =
   try
     f ();
     false
@@ -156,9 +161,14 @@ let contain t ~subject ~origin f =
       t.faults <- t.faults + 1;
       tick t (fun i -> i.i_faults);
       raise_alert t
-        (Alert.make ~kind:Alert.Engine_fault ~at:(now t) ~subject
+        (Alert.make ~kind:Alert.Engine_fault ~at:(now t) ~subject:(subject of_)
            (Printf.sprintf "%s: contained exception %s" origin (Printexc.to_string exn)));
       true
+
+let dst_subject key = "dst:" ^ key
+let stream_subject key = "stream:" ^ key
+let victim_subject key = "victim:" ^ key
+let src_subject (packet : Dsim.Packet.t) = Dsim.Addr.to_string packet.src
 
 (* Chaos self-test: deterministically blow up inside the boundary every
    [chaos_inject_every]-th machine injection. *)
@@ -256,7 +266,7 @@ let create ?(config = Config.default) ?(overrides = []) sched =
           host.Efsm.System.set delay (fun () ->
               match !self with
               | None -> f ()
-              | Some t -> ignore (contain t ~subject:"timer" ~origin:"timer callback" f)));
+              | Some t -> ignore (contain t ~subject:Fun.id "timer" ~origin:"timer callback" f)));
     }
   in
   let base = Fact_base.create ~on_pressure ~overrides ~config ~timer_host ~on_alert ~on_anomaly () in
@@ -381,7 +391,7 @@ let inject_call t call event =
   trace t (Obs.Trace.Dispatch { target = "call"; subject = call.Fact_base.call_id });
   penter t Obs.Prof.Efsm_dispatch;
   let faulted =
-    contain t ~subject:call.Fact_base.call_id ~origin:"call machine"
+    contain t ~subject:Fun.id call.Fact_base.call_id ~origin:"call machine"
       (fun () ->
         checked_inject t call.Fact_base.system ~machine:Keys.sip_machine event;
         Fact_base.maybe_finish t.base call)
@@ -401,13 +411,13 @@ let feed_flood_detector t msg event =
       penter t Obs.Prof.Detect;
       let system, _ = Fact_base.flood_detector t.base ~key in
       let faulted =
-        contain t ~subject:("dst:" ^ key) ~origin:"flood detector" (fun () ->
+        contain t ~subject:dst_subject key ~origin:"flood detector" (fun () ->
             checked_inject t system ~machine:Invite_flood_machine.machine_name event)
       in
       pexit t Obs.Prof.Detect;
       if faulted then begin
         Fact_base.quarantine_detector t.base `Flood ~key;
-        trace_quarantine t ~subject:("dst:" ^ key) ~origin:"flood detector"
+        trace_quarantine t ~subject:(dst_subject key) ~origin:"flood detector"
       end
 
 let feed_drdos_detector t (packet : Dsim.Packet.t) event =
@@ -422,13 +432,13 @@ let feed_drdos_detector t (packet : Dsim.Packet.t) event =
   trace t (Obs.Trace.Dispatch { target = "drdos"; subject = key });
   penter t Obs.Prof.Detect;
   let faulted =
-    contain t ~subject:("victim:" ^ key) ~origin:"drdos detector" (fun () ->
+    contain t ~subject:victim_subject key ~origin:"drdos detector" (fun () ->
         checked_inject t system ~machine:Drdos_machine.machine_name orphan)
   in
   pexit t Obs.Prof.Detect;
   if faulted then begin
     Fact_base.quarantine_detector t.base `Drdos ~key;
-    trace_quarantine t ~subject:("victim:" ^ key) ~origin:"drdos detector"
+    trace_quarantine t ~subject:(victim_subject key) ~origin:"drdos detector"
   end
 
 (* A REGISTER crossing the boundary sensor: intra-enterprise registrations
@@ -548,13 +558,13 @@ let handle_rtp t (packet : Dsim.Packet.t) decoded =
     penter t Obs.Prof.Detect;
     let system, _ = Fact_base.spam_detector t.base ~key:stream_key in
     let faulted =
-      contain t ~subject:("stream:" ^ stream_key) ~origin:"spam detector" (fun () ->
+      contain t ~subject:stream_subject stream_key ~origin:"spam detector" (fun () ->
           checked_inject t system ~machine:Media_spam_machine.machine_name event)
     in
     pexit t Obs.Prof.Detect;
     if faulted then begin
       Fact_base.quarantine_detector t.base `Spam ~key:stream_key;
-      trace_quarantine t ~subject:("stream:" ^ stream_key) ~origin:"spam detector"
+      trace_quarantine t ~subject:(stream_subject stream_key) ~origin:"spam detector"
     end
   end;
   (* Call-level cross-protocol checks (Figure 5) when the stream belongs to
@@ -567,7 +577,7 @@ let handle_rtp t (packet : Dsim.Packet.t) decoded =
       trace t (Obs.Trace.Dispatch { target = "call"; subject = call.Fact_base.call_id });
       penter t Obs.Prof.Efsm_dispatch;
       let faulted =
-        contain t ~subject:call.Fact_base.call_id ~origin:"call machine" (fun () ->
+        contain t ~subject:Fun.id call.Fact_base.call_id ~origin:"call machine" (fun () ->
             checked_inject t call.Fact_base.system ~machine:Keys.rtp_machine event;
             Fact_base.maybe_finish t.base call)
       in
@@ -619,10 +629,7 @@ let process_packet t packet =
      (classifier, parser, distributor) is contained here, so no packet —
      however crafted — can unwind the sensor's packet loop. *)
   ignore
-    (contain t
-       ~subject:(Dsim.Addr.to_string packet.Dsim.Packet.src)
-       ~origin:"packet pipeline"
-       (fun () -> dispatch t packet))
+    (contain t ~subject:src_subject packet ~origin:"packet pipeline" (fun () -> dispatch t packet))
 
 let tap t packet = process_packet t packet
 

@@ -31,9 +31,16 @@ type detector_kind = [ `Flood | `Spam | `Drdos ]
 
 type t = {
   config : Config.t;
-  (* [.vspec]-loaded replacements for builtin machine specs, keyed by
-     machine name (e.g. "SIP"); builtins are the fallback. *)
-  overrides : (string * Efsm.Machine.spec) list;
+  (* One spec per machine for the whole base, shared by every record that
+     instantiates it: a spec is immutable (instances keep their own state
+     and variables), so per-record copies would only cost memory and build
+     time.  Each is the builtin built from [config], or its [.vspec]
+     override, and is forced on first use so creating a base stays cheap. *)
+  sip_spec : Efsm.Machine.spec Lazy.t;
+  rtp_spec : Efsm.Machine.spec Lazy.t;
+  flood_spec : Efsm.Machine.spec Lazy.t;
+  spam_spec : Efsm.Machine.spec Lazy.t;
+  drdos_spec : Efsm.Machine.spec Lazy.t;
   timer_host : Efsm.System.timer_host;
   on_alert : machine:string -> state:string -> subject:string -> detail:string -> unit;
   on_anomaly :
@@ -49,7 +56,7 @@ type t = {
      queue all key on the cheap int instead of rehashing the string. *)
   ids : Intern.t;
   calls : (int, call) Hashtbl.t;
-  media_index : (string, int) Hashtbl.t; (* media addr -> interned call id *)
+  media_index : (Dsim.Addr.t, int) Hashtbl.t; (* media addr -> interned call id *)
   floods : (string, detector) Hashtbl.t;
   spams : (string, detector) Hashtbl.t;
   drdoses : (string, detector) Hashtbl.t;
@@ -73,11 +80,21 @@ type t = {
   mutable sweep_next : Dsim.Time.t option;
 }
 
+(* [overrides] are keyed by machine name (e.g. "SIP"), the name the
+   builtin spec carries. *)
+let shared_spec ~overrides ~config name builtin =
+  lazy (match List.assoc_opt name overrides with Some spec -> spec | None -> builtin config)
+
 let create ?(on_pressure = fun ~subject:_ ~detail:_ -> ()) ?(overrides = []) ~config
     ~timer_host ~on_alert ~on_anomaly () =
+  let shared = shared_spec ~overrides ~config in
   {
     config;
-    overrides;
+    sip_spec = shared Keys.sip_machine Sip_call_machine.spec;
+    rtp_spec = shared Keys.rtp_machine Rtp_call_machine.spec;
+    flood_spec = shared Invite_flood_machine.machine_name Invite_flood_machine.spec;
+    spam_spec = shared Media_spam_machine.machine_name Media_spam_machine.spec;
+    drdos_spec = shared Drdos_machine.machine_name Drdos_machine.spec;
     timer_host;
     on_alert;
     on_anomaly;
@@ -102,13 +119,6 @@ let create ?(on_pressure = fun ~subject:_ ~detail:_ -> ()) ?(overrides = []) ~co
     sweep_next = None;
   }
 
-(* Builtin specs are built per record (they close over config), so the
-   override lookup keys on the spec name the builtin would have had. *)
-let resolve_spec t (spec : Efsm.Machine.spec) =
-  match List.assoc_opt spec.Efsm.Machine.spec_name t.overrides with
-  | Some replacement -> replacement
-  | None -> spec
-
 let find_call t call_id =
   match Intern.find t.ids call_id with
   | None -> None
@@ -124,8 +134,6 @@ let system_callbacks t ~subject =
       ~event:n.Efsm.System.event ~detail:n.Efsm.System.detail
   in
   (on_alert, on_anomaly)
-
-let media_key addr = Dsim.Addr.to_string addr
 
 let fresh_serial t =
   let s = t.next_serial in
@@ -154,8 +162,8 @@ let delete_call t call =
       Efsm.System.release call.system;
       List.iter
         (fun addr ->
-          match Hashtbl.find_opt t.media_index (media_key addr) with
-          | Some k when k = call.key -> Hashtbl.remove t.media_index (media_key addr)
+          match Hashtbl.find_opt t.media_index addr with
+          | Some k when k = call.key -> Hashtbl.remove t.media_index addr
           | Some _ | None -> ())
         call.media_addrs;
       Hashtbl.remove t.calls call.key;
@@ -186,6 +194,15 @@ let rec evict_oldest_call t =
                  t.config.Config.max_calls)
       | Some _ | None -> evict_oldest_call t)
 
+(* A fresh communicating system holding one instance of each call machine,
+   wired to the base's callbacks under the call's subject. *)
+let instantiate_call t ~call_id =
+  let on_alert, on_anomaly = system_callbacks t ~subject:call_id in
+  let system = Efsm.System.create ~on_alert ~on_anomaly t.timer_host in
+  let sip = Efsm.System.add_machine system (Lazy.force t.sip_spec) in
+  let rtp = Efsm.System.add_machine system (Lazy.force t.rtp_spec) in
+  (system, sip, rtp)
+
 let create_call t ~call_id =
   let key = Intern.intern t.ids call_id in
   match Hashtbl.find_opt t.calls key with
@@ -196,10 +213,7 @@ let create_call t ~call_id =
   | None ->
       let cap = t.config.Config.max_calls in
       if cap > 0 && Hashtbl.length t.calls >= cap then evict_oldest_call t;
-      let on_alert, on_anomaly = system_callbacks t ~subject:call_id in
-      let system = Efsm.System.create ~on_alert ~on_anomaly t.timer_host in
-      let sip = Efsm.System.add_machine system (resolve_spec t (Sip_call_machine.spec t.config)) in
-      let rtp = Efsm.System.add_machine system (resolve_spec t (Rtp_call_machine.spec t.config)) in
+      let system, sip, rtp = instantiate_call t ~call_id in
       let call =
         {
           call_id;
@@ -226,15 +240,15 @@ let create_call t ~call_id =
 let register_media t call addr =
   if not (List.exists (Dsim.Addr.equal addr) call.media_addrs) then begin
     call.media_addrs <- addr :: call.media_addrs;
-    Hashtbl.replace t.media_index (media_key addr) call.key
+    Hashtbl.replace t.media_index addr call.key
   end
 
 let call_for_media t addr =
-  match Hashtbl.find_opt t.media_index (media_key addr) with
+  match Hashtbl.find_opt t.media_index addr with
   | None -> None
   | Some key -> Hashtbl.find_opt t.calls key
 
-let known_media t addr = Hashtbl.mem t.media_index (media_key addr)
+let known_media t addr = Hashtbl.mem t.media_index addr
 
 let detector_table t = function
   | `Flood -> t.floods
@@ -247,6 +261,19 @@ let detector_count t =
 let occupancy t = Hashtbl.length t.calls + detector_count t
 
 let kind_label = function `Flood -> "flood" | `Spam -> "spam" | `Drdos -> "drdos"
+
+let subject_prefix = function `Flood -> "dst:" | `Spam -> "stream:" | `Drdos -> "victim:"
+
+let detector_spec t = function
+  | `Flood -> t.flood_spec
+  | `Spam -> t.spam_spec
+  | `Drdos -> t.drdos_spec
+
+let instantiate_detector t kind ~key =
+  let on_alert, on_anomaly = system_callbacks t ~subject:(subject_prefix kind ^ key) in
+  let d_system = Efsm.System.create ~on_alert ~on_anomaly t.timer_host in
+  let d_machine = Efsm.System.add_machine d_system (Lazy.force (detector_spec t kind)) in
+  (d_system, d_machine)
 
 let compact_detector_order t =
   if Queue.length t.detector_order > (2 * detector_count t) + 64 then begin
@@ -286,7 +313,7 @@ let rec evict_oldest_detector t =
                  t.config.Config.max_detectors)
       | Some _ | None -> evict_oldest_detector t)
 
-let detector kind t ~key ~make_spec ~subject_prefix =
+let detector kind t ~key =
   let table = detector_table t kind in
   match Hashtbl.find_opt table key with
   | Some d ->
@@ -295,24 +322,16 @@ let detector kind t ~key ~make_spec ~subject_prefix =
   | None ->
       let cap = t.config.Config.max_detectors in
       if cap > 0 && detector_count t >= cap then evict_oldest_detector t;
-      let subject = subject_prefix ^ key in
-      let on_alert, on_anomaly = system_callbacks t ~subject in
-      let d_system = Efsm.System.create ~on_alert ~on_anomaly t.timer_host in
-      let d_machine = Efsm.System.add_machine d_system (resolve_spec t (make_spec t.config)) in
+      let d_system, d_machine = instantiate_detector t kind ~key in
       let d_created = t.timer_host.Efsm.System.now () in
       let d_serial = fresh_serial t in
       Hashtbl.replace table key { d_system; d_machine; d_created; d_serial; d_touched = d_created };
       Queue.add (kind, key, d_serial) t.detector_order;
       (d_system, d_machine)
 
-let flood_detector t ~key =
-  detector `Flood t ~key ~make_spec:Invite_flood_machine.spec ~subject_prefix:"dst:"
-
-let spam_detector t ~key =
-  detector `Spam t ~key ~make_spec:Media_spam_machine.spec ~subject_prefix:"stream:"
-
-let drdos_detector t ~key =
-  detector `Drdos t ~key ~make_spec:Drdos_machine.spec ~subject_prefix:"victim:"
+let flood_detector t ~key = detector `Flood t ~key
+let spam_detector t ~key = detector `Spam t ~key
+let drdos_detector t ~key = detector `Drdos t ~key
 
 (* --------------------------------------------------------------- *)
 (* Fault quarantine                                                 *)
@@ -484,10 +503,7 @@ let restore_call t ~call_id ~created_at =
   let key = Intern.intern t.ids call_id in
   if Hashtbl.mem t.calls key then
     invalid_arg (Printf.sprintf "Fact_base.restore_call: duplicate call %S" call_id);
-  let on_alert, on_anomaly = system_callbacks t ~subject:call_id in
-  let system = Efsm.System.create ~on_alert ~on_anomaly t.timer_host in
-  let sip = Efsm.System.add_machine system (resolve_spec t (Sip_call_machine.spec t.config)) in
-  let rtp = Efsm.System.add_machine system (resolve_spec t (Rtp_call_machine.spec t.config)) in
+  let system, sip, rtp = instantiate_call t ~call_id in
   let call =
     {
       call_id;
@@ -513,15 +529,7 @@ let restore_detector t kind ~key ~created_at ~touched =
   if Hashtbl.mem table key then
     invalid_arg
       (Printf.sprintf "Fact_base.restore_detector: duplicate %s detector %S" (kind_label kind) key);
-  let make_spec, subject_prefix =
-    match kind with
-    | `Flood -> (Invite_flood_machine.spec, "dst:")
-    | `Spam -> (Media_spam_machine.spec, "stream:")
-    | `Drdos -> (Drdos_machine.spec, "victim:")
-  in
-  let on_alert, on_anomaly = system_callbacks t ~subject:(subject_prefix ^ key) in
-  let d_system = Efsm.System.create ~on_alert ~on_anomaly t.timer_host in
-  let d_machine = Efsm.System.add_machine d_system (resolve_spec t (make_spec t.config)) in
+  let d_system, d_machine = instantiate_detector t kind ~key in
   let d_serial = fresh_serial t in
   Hashtbl.replace table key
     { d_system; d_machine; d_created = created_at; d_serial; d_touched = touched };

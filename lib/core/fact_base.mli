@@ -51,6 +51,10 @@ val create :
     (machine:string -> state:string -> subject:string -> event:Efsm.Event.t -> detail:string -> unit) ->
   unit ->
   t
+(** [overrides] are [.vspec]-loaded specs keyed by machine name (e.g.
+    ["SIP"]) that replace the builtins built from [config].  Each of the
+    five machine specs is resolved once per base, on first use, and every
+    call and detector of the base instantiates that one immutable spec. *)
 
 val find_call : t -> string -> call option
 

@@ -10,7 +10,8 @@ let compare a b =
 let host t = t.host
 let port t = t.port
 let pp ppf t = Format.fprintf ppf "%s:%d" t.host t.port
-let to_string t = Format.asprintf "%a" pp t
+(* Plain concatenation, no formatter: this runs on every RTP packet. *)
+let to_string t = t.host ^ ":" ^ string_of_int t.port
 
 let of_string s =
   match String.rindex_opt s ':' with

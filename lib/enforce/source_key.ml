@@ -14,7 +14,7 @@ let host_of_addr (a : Dsim.Addr.t) = host a.Dsim.Addr.host
 
 let to_string = function
   | Host h -> h
-  | Endpoint (h, p) -> Printf.sprintf "%s:%d" h p
+  | Endpoint (h, p) -> h ^ ":" ^ string_of_int p
 
 let of_string s =
   if s = "" then Error "Source_key.of_string: empty key"

@@ -494,6 +494,30 @@ let addr_parse () =
 
 let tc name f = Alcotest.test_case name `Quick f
 
+let addr_arb =
+  QCheck.make ~print:Dsim.Addr.to_string
+    QCheck.Gen.(
+      map2 Dsim.Addr.v
+        (oneof
+           [
+             map
+               (fun (a, b) -> Printf.sprintf "10.%d.0.%d" a b)
+               (pair (int_range 0 255) (int_range 0 255));
+             string_size ~gen:printable (int_range 0 12);
+           ])
+        (oneof [ int_range 0 65535; int ]))
+
+(* [to_string] is hand-rolled for speed; it must print exactly what [pp]
+   does, and [of_string] must invert it whenever the address is valid. *)
+let addr_to_string_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"addr to_string = pp, of_string inverts" ~count:500 addr_arb
+       (fun a ->
+         let s = Dsim.Addr.to_string a in
+         String.equal s (Format.asprintf "%a" Dsim.Addr.pp a)
+         && Dsim.Addr.of_string s
+            = if Dsim.Addr.port a >= 0 && Dsim.Addr.host a <> "" then Some a else None))
+
 let suite =
   [
     ( "dsim.time",
@@ -559,5 +583,6 @@ let suite =
         tc "link stats" net_link_stats;
         tc "duplicate host rejected" net_duplicate_host_rejected;
         tc "addr parse" addr_parse;
+        addr_to_string_prop;
       ] );
   ]

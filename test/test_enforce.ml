@@ -67,6 +67,12 @@ let prop_source_key_roundtrip =
       | Ok k' -> SK.equal k k'
       | Error e -> QCheck.Test.fail_reportf "of_string: %s" e)
 
+(* [to_string] is hand-rolled for speed; it keeps the printf form. *)
+let prop_source_key_printf_form =
+  q "source_key: to_string is the %s:%d form" key_arb (fun k ->
+      String.equal (SK.to_string k)
+        (match k with SK.Host h -> h | SK.Endpoint (h, p) -> Printf.sprintf "%s:%d" h p))
+
 (* ------------------------------------------------------------------ *)
 (* TTL boundaries and refresh semantics                                *)
 (* ------------------------------------------------------------------ *)
@@ -429,6 +435,7 @@ let suite =
         Alcotest.test_case "normalization and addr projection" `Quick
           test_source_key_normalize;
         prop_source_key_roundtrip;
+        prop_source_key_printf_form;
       ] );
     ( "enforce.table",
       [

@@ -299,6 +299,73 @@ let memory_scales_linearly () =
   check_int "100 calls" 100 stats.Vids.Fact_base.active_calls;
   check_int "linear model" (100 * per_call) stats.Vids.Fact_base.modeled_bytes
 
+(* Specs are immutable, so one per machine serves every record of an
+   engine: two calls and two detectors of a kind must hold the very same
+   spec value, whether it is the builtin or a [.vspec] override. *)
+let spec_of = Efsm.Machine.spec
+
+let check_shared_specs base =
+  let a = Vids.Fact_base.create_call base ~call_id:"share-a" in
+  let b = Vids.Fact_base.create_call base ~call_id:"share-b" in
+  check "sip spec shared" true (spec_of a.Vids.Fact_base.sip == spec_of b.Vids.Fact_base.sip);
+  check "rtp spec shared" true (spec_of a.Vids.Fact_base.rtp == spec_of b.Vids.Fact_base.rtp);
+  let pair detector =
+    let _, m1 = detector base ~key:"k1" and _, m2 = detector base ~key:"k2" in
+    check "distinct records" false (m1 == m2);
+    spec_of m1 == spec_of m2
+  in
+  check "spam spec shared" true (pair Vids.Fact_base.spam_detector);
+  check "flood spec shared" true (pair Vids.Fact_base.flood_detector);
+  check "drdos spec shared" true (pair Vids.Fact_base.drdos_detector);
+  (a, Vids.Fact_base.spam_detector base ~key:"k1")
+
+let specs_shared_builtin () =
+  let p = make_pipeline () in
+  let call, _ = check_shared_specs (Vids.Engine.fact_base p.engine) in
+  check_str "builtin sip" Vids.Keys.sip_machine
+    (spec_of call.Vids.Fact_base.sip).Efsm.Machine.spec_name
+
+let specs_shared_override () =
+  let overrides =
+    ok
+      (Vids.Spec_load.load_files Vids.Config.default
+         [ "../examples/specs/sip_call.vspec"; "../examples/specs/media_spam.vspec" ])
+  in
+  let engine = Vids.Engine.create ~overrides (Dsim.Scheduler.create ()) in
+  let call, (_, spam) = check_shared_specs (Vids.Engine.fact_base engine) in
+  check "sip is the override" true
+    (spec_of call.Vids.Fact_base.sip == List.assoc Vids.Keys.sip_machine overrides);
+  check "spam is the override" true
+    (spec_of spam == List.assoc Vids.Media_spam_machine.machine_name overrides)
+
+(* Sharing is per engine, not global: two engines built from different
+   configs each detect with their own thresholds. *)
+let specs_per_engine_config () =
+  let strict =
+    let sched = Dsim.Scheduler.create () in
+    let config = { Vids.Config.default with Vids.Config.invite_flood_threshold = 2 } in
+    { sched; engine = Vids.Engine.create ~config sched }
+  in
+  let lax = make_pipeline () in
+  let invite i =
+    Printf.sprintf
+      "INVITE sip:bob@b.example SIP/2.0\r\nVia: SIP/2.0/UDP 10.1.0.2:5060;branch=z9hG4bKf%d\r\nFrom: <sip:a@a.example>;tag=f%d\r\nTo: <sip:bob@b.example>\r\nCall-ID: flood-%d\r\nCSeq: 1 INVITE\r\n\r\n"
+      i i i
+  in
+  for i = 1 to 4 do
+    List.iter
+      (fun p -> feed p ~src:(sip_addr "10.1.0.2") ~dst:(sip_addr "10.2.0.2") (invite i))
+      [ strict; lax ]
+  done;
+  let floods p = List.length (Vids.Engine.alerts_of_kind p.engine Vids.Alert.Invite_flood) in
+  check_int "threshold 2 floods" 1 (floods strict);
+  check_int "threshold 6 does not" 0 (floods lax);
+  let flood_spec p =
+    let base = Vids.Engine.fact_base p.engine in
+    spec_of (snd (Vids.Fact_base.flood_detector base ~key:"bob@b.example"))
+  in
+  check "engines do not share" false (flood_spec strict == flood_spec lax)
+
 let intern_basics () =
   let t = Vids.Intern.create () in
   let a = Vids.Intern.intern t "alpha" in
@@ -424,6 +491,9 @@ let suite =
         tc "media index" fact_base_media_index;
         tc "memory linear" memory_scales_linearly;
         tc "intern ids, find, hash" intern_basics;
+        tc "one spec per machine per engine" specs_shared_builtin;
+        tc "vspec override shared" specs_shared_override;
+        tc "specs follow each engine's config" specs_per_engine_config;
       ] );
     ( "vids.sip_event",
       [ tc "encoding" sip_event_encoding; tc "alert formatting" alert_formatting ] );

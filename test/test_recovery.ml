@@ -223,6 +223,37 @@ let snapshot_restore_digest () =
       Alcotest.(check string) "restored digest equal" original
         (Vids.Snapshot.digest ~at engine')
 
+(* A restored engine instantiates its records from the same one-per-machine
+   specs as records it creates afresh. *)
+let snapshot_restore_shares_specs () =
+  let sched, engine = engine_at ~config:None ~calls:12 (ms 450.) in
+  let snap = Vids.Snapshot.capture ~seq:1 ~at:(Dsim.Scheduler.now sched) engine in
+  match Vids.Snapshot.restore snap with
+  | Error e -> Alcotest.failf "restore failed: %s" e
+  | Ok (_, engine') ->
+      let base = Vids.Engine.fact_base engine' in
+      let spec = Efsm.Machine.spec in
+      let restored = Vids.Fact_base.calls_in_creation_order base in
+      check "calls restored" true (restored <> []);
+      let fresh = Vids.Fact_base.create_call base ~call_id:"fresh-after-restore" in
+      List.iter
+        (fun (c : Vids.Fact_base.call) ->
+          check "sip spec shared" true (spec c.sip == spec fresh.Vids.Fact_base.sip);
+          check "rtp spec shared" true (spec c.rtp == spec fresh.Vids.Fact_base.rtp))
+        restored;
+      let detectors = Vids.Fact_base.detectors_in_creation_order base in
+      check "detectors restored" true (detectors <> []);
+      List.iter
+        (fun (kind, _, _, m, _, _) ->
+          let _, fresh =
+            match kind with
+            | `Flood -> Vids.Fact_base.flood_detector base ~key:"fresh"
+            | `Spam -> Vids.Fact_base.spam_detector base ~key:"fresh"
+            | `Drdos -> Vids.Fact_base.drdos_detector base ~key:"fresh"
+          in
+          check "detector spec shared" true (spec m == spec fresh))
+        detectors
+
 (* Checkpoints written before the 14th EC field was reserved may carry a
    nonzero value there; they must still restore, and re-capture with 0. *)
 let snapshot_reserved_ec_field () =
@@ -724,6 +755,7 @@ let suite =
         journal_line_roundtrip;
         tc "snapshot text round-trip" snapshot_text_roundtrip;
         tc "snapshot restore digest" snapshot_restore_digest;
+        tc "restored records share specs" snapshot_restore_shares_specs;
         tc "reserved EC field ignored" snapshot_reserved_ec_field;
         convergence_prop;
         tc "convergence at fixed cuts" convergence_fixed;

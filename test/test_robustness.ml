@@ -161,6 +161,21 @@ let t_chaos_spares_other_calls () =
   check "faulting call quarantined" true (Vids.Fact_base.find_call base "victim" = None);
   check_int "one fault" 1 (Vids.Engine.counters r.engine).Vids.Engine.faults
 
+(* The engine builds fault subjects only when a fault is contained; a
+   faulting stream detector must still be reported under its stream. *)
+let t_chaos_spam_detector_subject () =
+  let config = { Vids.Config.default with Vids.Config.chaos_inject_every = 1 } in
+  let r = rig ~config () in
+  feed_rtp r ~dst_port:20000;
+  match fault_alerts r with
+  | [ a ] ->
+      Alcotest.(check string) "stream subject" "stream:10.2.0.10:20000" a.Vids.Alert.subject;
+      check "origin named" true
+        (String.starts_with ~prefix:"spam detector: contained exception" a.Vids.Alert.detail);
+      check_int "detector quarantined" 0
+        (Vids.Engine.memory_stats r.engine).Vids.Fact_base.detectors
+  | alerts -> Alcotest.failf "expected one fault alert, got %d" (List.length alerts)
+
 let t_listener_fault_contained () =
   let r = rig () in
   Vids.Engine.on_alert r.engine (fun _ -> failwith "bad listener");
@@ -323,6 +338,7 @@ let suite =
       [
         tc "chaos fault quarantines and continues" t_chaos_quarantine;
         tc "quarantine spares other calls" t_chaos_spares_other_calls;
+        tc "spam detector fault subject" t_chaos_spam_detector_subject;
         tc "listener fault contained" t_listener_fault_contained;
       ] );
     ( "robustness.degradation",
