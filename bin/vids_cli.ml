@@ -1036,30 +1036,7 @@ let parse_file path =
 (* export-fsm                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let machines =
-  [
-    ("sip-call", fun () -> Vids.Sip_call_machine.spec Vids.Config.default);
-    ("rtp-call", fun () -> Vids.Rtp_call_machine.spec Vids.Config.default);
-    ("invite-flood", fun () -> Vids.Invite_flood_machine.spec Vids.Config.default);
-    ("media-spam", fun () -> Vids.Media_spam_machine.spec Vids.Config.default);
-    ("drdos", fun () -> Vids.Drdos_machine.spec Vids.Config.default);
-  ]
-
-(* The shipped machines grouped the way [Vids.Fact_base] actually couples
-   them: SIP and RTP share each call's globals and δ channels; the three
-   detectors run alone. *)
-let lint_systems () =
-  let cfg = Vids.Config.default in
-  [
-    ( "call",
-      [
-        (Vids.Sip_call_machine.spec cfg, Vids.Sip_call_machine.vars);
-        (Vids.Rtp_call_machine.spec cfg, Vids.Rtp_call_machine.vars);
-      ] );
-    ("invite-flood", [ (Vids.Invite_flood_machine.spec cfg, Vids.Invite_flood_machine.vars) ]);
-    ("media-spam", [ (Vids.Media_spam_machine.spec cfg, Vids.Media_spam_machine.vars) ]);
-    ("drdos", [ (Vids.Drdos_machine.spec cfg, Vids.Drdos_machine.vars) ]);
-  ]
+let builtins () = Vids.Spec_load.builtins Vids.Config.default
 
 let ensure_dir dir =
   try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
@@ -1077,7 +1054,7 @@ let lint_builtins json dot_dir =
   let reports =
     List.map
       (fun (name, sys) -> (name, sys, Analyze.Verifier.verify_system sys))
-      (lint_systems ())
+      (Vids.Spec_load.systems Vids.Config.default)
   in
   (match dot_dir with
   | None -> ()
@@ -1123,23 +1100,19 @@ let lint_vspec json dot_dir files =
       else print_string (Analyze.Speclint.render_text r);
       if Analyze.Speclint.ok r then 0 else 1
 
-(* --emit NAME: dump a builtin machine as canonical .vspec text — the
-   generator for examples/specs/*.vspec. *)
+let unknown_machine name =
+  Format.eprintf "unknown machine %S (choose from %s)@." name
+    (String.concat ", " (List.map fst (builtins ())));
+  1
+
+(* --emit NAME: print a builtin machine's .vspec source, the text the
+   library embeds from examples/specs. *)
 let emit_builtin name =
-  let builtins = Vids.Spec_load.builtins Vids.Config.default in
-  match Vids.Spec_load.builtin_for Vids.Config.default name with
-  | None ->
-      Format.eprintf "unknown machine %S (choose from %s)@." name
-        (String.concat ", " (List.map fst builtins));
-      1
-  | Some (spec, vars) -> (
-      match Spec.Printer.of_machine spec vars with
-      | exception Spec.Printer.Unprintable msg ->
-          Format.eprintf "cannot print %s as .vspec: %s@." name msg;
-          1
-      | ast ->
-          print_string (Spec.Printer.print_machine ast);
-          0)
+  match Vids.Spec_load.builtin_source name with
+  | None -> unknown_machine name
+  | Some source ->
+      print_string source;
+      0
 
 let lint json dot_dir emit files =
   match emit with
@@ -1149,8 +1122,7 @@ let lint json dot_dir emit files =
 let check_specs () =
   let failures = ref 0 in
   List.iter
-    (fun (name, spec) ->
-      let spec = spec () in
+    (fun (name, (spec, _)) ->
       let r = Analyze.Verifier.verify_spec spec in
       match Analyze.Verifier.machine_errors r with
       | [] ->
@@ -1162,7 +1134,7 @@ let check_specs () =
           List.iter
             (fun f -> Format.printf "%-14s FAILED: %s@." name (Analyze.Finding.to_string f))
             errors)
-    machines;
+    (builtins ());
   if !failures = 0 then 0
   else begin
     Format.printf "(run `vids-cli lint` for the full report)@.";
@@ -1170,14 +1142,11 @@ let check_specs () =
   end
 
 let export_fsm name =
-  match List.assoc_opt name machines with
-  | Some spec ->
-      print_string (Efsm.Dot.of_spec (spec ()));
+  match List.assoc_opt name (builtins ()) with
+  | Some (spec, _) ->
+      print_string (Efsm.Dot.of_spec spec);
       0
-  | None ->
-      Format.eprintf "unknown machine %S (choose from %s)@." name
-        (String.concat ", " (List.map fst machines));
-      1
+  | None -> unknown_machine name
 
 (* ------------------------------------------------------------------ *)
 (* Command line                                                        *)
@@ -1538,8 +1507,8 @@ let lint_cmd =
       value & opt (some string) None
       & info [ "emit" ] ~docv:"MACHINE"
           ~doc:
-            "Print a builtin machine as canonical $(b,.vspec) text and exit (the generator \
-             for examples/specs/*.vspec).")
+            "Print a builtin machine's $(b,.vspec) source and exit: the text of \
+             examples/specs that the builtin is elaborated from.")
   in
   let files =
     Arg.(

@@ -80,7 +80,7 @@ val on_eviction : t -> (at:Dsim.Time.t -> subject:string -> detail:string -> uni
 (** {1 Telemetry}
 
     Optional, attached after creation so every existing construction site
-    (testbed, snapshot restore, supervisor) keeps its
+    (testbed, snapshot restore) keeps its
     signature.  Strictly observational: instrumentation never feeds back
     into analysis, so [Snapshot.digest] and the alert log are identical
     with telemetry on or off. *)

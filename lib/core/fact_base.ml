@@ -34,8 +34,9 @@ type t = {
   (* One spec per machine for the whole base, shared by every record that
      instantiates it: a spec is immutable (instances keep their own state
      and variables), so per-record copies would only cost memory and build
-     time.  Each is the builtin built from [config], or its [.vspec]
-     override, and is forced on first use so creating a base stays cheap. *)
+     time.  Each is the builtin elaborated under [config] (see
+     {!Spec_load}), or its [.vspec] override, and is forced on first use so
+     creating a base stays cheap. *)
   sip_spec : Efsm.Machine.spec Lazy.t;
   rtp_spec : Efsm.Machine.spec Lazy.t;
   flood_spec : Efsm.Machine.spec Lazy.t;
@@ -82,19 +83,22 @@ type t = {
 
 (* [overrides] are keyed by machine name (e.g. "SIP"), the name the
    builtin spec carries. *)
-let shared_spec ~overrides ~config name builtin =
-  lazy (match List.assoc_opt name overrides with Some spec -> spec | None -> builtin config)
+let shared_spec ~overrides ~config name =
+  lazy
+    (match List.assoc_opt name overrides with
+    | Some spec -> spec
+    | None -> fst (Option.get (Spec_load.builtin_for config name)))
 
 let create ?(on_pressure = fun ~subject:_ ~detail:_ -> ()) ?(overrides = []) ~config
     ~timer_host ~on_alert ~on_anomaly () =
   let shared = shared_spec ~overrides ~config in
   {
     config;
-    sip_spec = shared Keys.sip_machine Sip_call_machine.spec;
-    rtp_spec = shared Keys.rtp_machine Rtp_call_machine.spec;
-    flood_spec = shared Invite_flood_machine.machine_name Invite_flood_machine.spec;
-    spam_spec = shared Media_spam_machine.machine_name Media_spam_machine.spec;
-    drdos_spec = shared Drdos_machine.machine_name Drdos_machine.spec;
+    sip_spec = shared Keys.sip_machine;
+    rtp_spec = shared Keys.rtp_machine;
+    flood_spec = shared Keys.invite_flood_machine;
+    spam_spec = shared Keys.media_spam_machine;
+    drdos_spec = shared Keys.drdos_machine;
     timer_host;
     on_alert;
     on_anomaly;
@@ -342,7 +346,7 @@ let quarantine_detector t kind ~key = ignore (remove_detector t kind ~key)
 
 let rtp_done call =
   Efsm.Machine.is_final call.rtp
-  || String.equal (Efsm.Machine.state call.rtp) Rtp_call_machine.st_init
+  || String.equal (Efsm.Machine.state call.rtp) Keys.st_rtp_init
 
 (* Lifecycle timers are armed against an absolute deadline that is also
    recorded on the call, so a checkpoint can re-arm them at the same

@@ -73,6 +73,39 @@ val sip_machine : string
 
 val rtp_machine : string
 
+(** {1 Detector machines (one instance per key, outside any call)} *)
+
+val invite_flood_machine : string
+
+val media_spam_machine : string
+
+val drdos_machine : string
+
+val orphan_response : string
+(** Event the engine feeds {!drdos_machine} for a SIP response that
+    matches no known call. *)
+
+(** {1 States of the [.vspec] machines the engine acts on} *)
+
+val st_rtp_init : string
+(** The RTP machine's initial state: no media was ever negotiated. *)
+
+val st_cancel_dos : string
+
+val st_hijack : string
+
+val st_bye_dos : string
+
+val st_billing_fraud : string
+
+val st_invite_flood : string
+
+val st_media_spam : string
+
+val st_rtp_flood : string
+
+val st_drdos : string
+
 (** {1 Global (cross-machine) variable names} *)
 
 val g_caller_media : string

@@ -232,8 +232,8 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
         in
         (* Periodic checkpoints ride the virtual clock as self-re-arming
            events: under live pacing the grid tracks wall time through
-           the clock bridge, and under a manual clock it is exactly the
-           deterministic grid the supervisor tests use. *)
+           the clock bridge, and under a manual clock it is a
+           deterministic grid. *)
         if config.checkpoint_every_s > 0.0 && config.snapshot_path <> None then begin
           let period = Dsim.Time.of_sec config.checkpoint_every_s in
           let rec arm t =

@@ -1,6 +1,6 @@
 (* Non-blocking UDP listener.  One receive buffer is reused across the
    whole life of the source; each delivered payload is the only per-
-   datagram allocation.  Errors follow the supervised-restart shape:
+   datagram allocation.  A socket error is handled like a crash:
    close, wait out a capped exponential backoff, rebind, give up when the
    budget is spent. *)
 

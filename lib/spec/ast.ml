@@ -3,8 +3,8 @@
    The AST is deliberately untyped and context-free: one expression form
    covers predicate, value and integer positions, and [Check] decides
    which {!Efsm.Ir} fragment each node elaborates into.  Every node
-   carries the span of the text it was parsed from; machine-emitted
-   trees ([Printer.of_machine]) carry [Loc.dummy]. *)
+   carries the span of the text it was parsed from; generated trees
+   (the round-trip property's) carry [Loc.dummy]. *)
 
 type lit =
   | L_int of int
@@ -36,10 +36,15 @@ and exp_node =
   | Ident of string  (* declared variable; scope resolved by Check *)
   | Fieldref of string  (* $name: event field *)
   | Call of string * exp list  (* addr/2 host/1 int/1 int0/1 has/1 *)
-  | Extern_ref of string  (* opaque predicate escape hatch *)
+  | Extern_ref of string
+      (* opaque predicate escape hatch; in integer position, a host constant *)
   | Not of exp
   | Bin of binop * exp * exp
   | In_set of exp * lit list
+
+(* A timer delay: a duration literal in microseconds (Dsim.Time.t), or
+   [extern NAME], a host constant the loader supplies (a [Config] field). *)
+type delay = Delay of int | Delay_extern of string * Loc.span
 
 type act = { a : act_node; a_span : Loc.span }
 
@@ -47,7 +52,7 @@ and act_node =
   | Assign of string * exp
   | If of exp * act list * act list
   | Sync of { target : string; event : string; args : (string * exp) list }
-  | Set_timer of string * int  (* delay in microseconds (Dsim.Time.t) *)
+  | Set_timer of string * delay
   | Cancel_timer of string
   | Extern_act of string
 
@@ -65,11 +70,15 @@ type trans = {
 
 type scope = S_local | S_global
 
+(* Attack descriptions are string literals interleaved with host
+   constants, so a threshold in the text follows the configured value. *)
+type desc_part = D_text of string | D_extern of string * Loc.span
+
 type item =
   | I_var of { v_name : string; v_scope : scope; v_ty : ty; v_span : Loc.span }
   | I_initial of string * Loc.span
   | I_final of (string * Loc.span) list
-  | I_attack of { at_state : string; at_desc : string; at_span : Loc.span }
+  | I_attack of { at_state : string; at_desc : desc_part list; at_span : Loc.span }
   | I_trans of trans
 
 type machine = { m_name : string; m_items : item list; m_span : Loc.span }
@@ -95,6 +104,17 @@ let rec equal_exp a b =
   | In_set (x, xs), In_set (y, ys) -> equal_exp x y && xs = ys
   | _ -> false
 
+let equal_delay a b =
+  match (a, b) with
+  | Delay x, Delay y -> x = y
+  | Delay_extern (x, _), Delay_extern (y, _) -> String.equal x y
+  | _ -> false
+
+let equal_desc_part a b =
+  match (a, b) with
+  | D_text x, D_text y | D_extern (x, _), D_extern (y, _) -> String.equal x y
+  | _ -> false
+
 let rec equal_act a b =
   match (a.a, b.a) with
   | Assign (x, e1), Assign (y, e2) -> String.equal x y && equal_exp e1 e2
@@ -107,7 +127,7 @@ let rec equal_act a b =
       && List.for_all2
            (fun (k1, e1) (k2, e2) -> String.equal k1 k2 && equal_exp e1 e2)
            s1.args s2.args
-  | Set_timer (i, d), Set_timer (j, e) -> String.equal i j && d = e
+  | Set_timer (i, d), Set_timer (j, e) -> String.equal i j && equal_delay d e
   | Cancel_timer i, Cancel_timer j -> String.equal i j
   | Extern_act i, Extern_act j -> String.equal i j
   | _ -> false
@@ -134,7 +154,9 @@ let equal_item a b =
       List.length xs = List.length ys
       && List.for_all2 (fun (x, _) (y, _) -> String.equal x y) xs ys
   | I_attack x, I_attack y ->
-      String.equal x.at_state y.at_state && String.equal x.at_desc y.at_desc
+      String.equal x.at_state y.at_state
+      && List.length x.at_desc = List.length y.at_desc
+      && List.for_all2 equal_desc_part x.at_desc y.at_desc
   | I_trans x, I_trans y -> equal_trans x y
   | _ -> false
 

@@ -39,6 +39,10 @@ let resolve ctx span name =
 
 let is_pred_shaped = Elaborate.is_pred_shaped
 
+let check_host_const ctx span name =
+  if ctx.externs.Elaborate.find_int name = None then
+    err ctx Diag.Unknown_extern span (Printf.sprintf "no host constant %s is registered" name)
+
 let rec check_pred ctx (e : Ast.exp) =
   match e.Ast.e with
   | Ast.Lit (Ast.L_bool _) -> ()
@@ -101,6 +105,7 @@ and check_iexpr ctx (e : Ast.exp) =
   | Ast.Bin ((Ast.B_add | Ast.B_sub), a, b) ->
       check_iexpr ctx a;
       check_iexpr ctx b
+  | Ast.Extern_ref name -> check_host_const ctx e.Ast.e_span name
   | Ast.Ident name ->
       ignore (resolve ctx e.Ast.e_span name);
       err ctx Diag.Type_mismatch e.Ast.e_span
@@ -194,7 +199,8 @@ let rec check_act ctx (act : Ast.act) =
           (Printf.sprintf "unknown sync target machine %s (known: %s)" target
              (String.concat ", " ctx.known_machines));
       List.iter (fun (_, e) -> ignore (check_expr ctx e)) args
-  | Ast.Set_timer _ | Ast.Cancel_timer _ -> ()
+  | Ast.Set_timer (_, Ast.Delay_extern (name, span)) -> check_host_const ctx span name
+  | Ast.Set_timer (_, Ast.Delay _) | Ast.Cancel_timer _ -> ()
   | Ast.Extern_act name ->
       if ctx.externs.Elaborate.find_act name = None then
         err ctx Diag.Unknown_extern act.Ast.a_span
@@ -233,7 +239,12 @@ let check_structure ctx (m : Ast.machine) =
                     (Printf.sprintf "state %s is declared both final and attack" s)
               end)
             states
-      | Ast.I_attack { at_state; at_span; _ } ->
+      | Ast.I_attack { at_state; at_desc; at_span } ->
+          List.iter
+            (function
+              | Ast.D_extern (name, span) -> check_host_const ctx span name
+              | Ast.D_text _ -> ())
+            at_desc;
           if List.mem_assoc at_state !attacks then
             err ctx Diag.Dup_state at_span
               (Printf.sprintf "state %s is declared attack twice" at_state)

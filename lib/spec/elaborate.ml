@@ -5,9 +5,11 @@ module V = Efsm.Value
 type externs = {
   find_pred : string -> I.opaque_pred option;
   find_act : string -> M.effect I.opaque_act option;
+  find_int : string -> int option;
 }
 
-let no_externs = { find_pred = (fun _ -> None); find_act = (fun _ -> None) }
+let no_externs =
+  { find_pred = (fun _ -> None); find_act = (fun _ -> None); find_int = (fun _ -> None) }
 
 type elaborated = {
   el_spec : M.spec;
@@ -89,6 +91,7 @@ and elab_iexpr env (e : Ast.exp) : I.iexpr =
   | Ast.Call ("int0", [ a ]) -> I.Int_or0 (elab_expr env a)
   | Ast.Bin (Ast.B_add, a, b) -> I.Add (elab_iexpr env a, elab_iexpr env b)
   | Ast.Bin (Ast.B_sub, a, b) -> I.Sub (elab_iexpr env a, elab_iexpr env b)
+  | Ast.Extern_ref name -> I.Int_const (Option.value (env.externs.find_int name) ~default:0)
   | _ -> I.Int_const 0
 
 and elab_expr env (e : Ast.exp) : I.expr =
@@ -116,7 +119,11 @@ let rec elab_act env (act : Ast.act) : M.effect I.act list =
             args = List.map (fun (k, e) -> (k, elab_expr env e)) args;
           };
       ]
-  | Ast.Set_timer (id, us) -> [ I.Set_timer { id; delay = us } ]
+  | Ast.Set_timer (id, Ast.Delay us) -> [ I.Set_timer { id; delay = us } ]
+  | Ast.Set_timer (id, Ast.Delay_extern (name, _)) -> (
+      match env.externs.find_int name with
+      | Some delay -> [ I.Set_timer { id; delay } ]
+      | None -> [])
   | Ast.Cancel_timer id -> [ I.Cancel_timer id ]
   | Ast.Extern_act name -> (
       match env.externs.find_act name with Some o -> [ I.Opaque_act o ] | None -> [])
@@ -164,7 +171,14 @@ let machine ~externs (m : Ast.machine) =
   let attacks =
     List.filter_map
       (function
-        | Ast.I_attack { at_state; at_desc; _ } -> Some (at_state, at_desc) | _ -> None)
+        | Ast.I_attack { at_state; at_desc; _ } ->
+            let part = function
+              | Ast.D_text s -> s
+              | Ast.D_extern (name, _) ->
+                  Option.fold ~none:"" ~some:string_of_int (externs.find_int name)
+            in
+            Some (at_state, String.concat "" (List.map part at_desc))
+        | _ -> None)
       m.Ast.m_items
   in
   let transitions =

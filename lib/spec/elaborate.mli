@@ -18,10 +18,15 @@
 type externs = {
   find_pred : string -> Efsm.Ir.opaque_pred option;
   find_act : string -> Efsm.Machine.effect Efsm.Ir.opaque_act option;
+  find_int : string -> int option;
 }
-(** Registry for [extern] escape hatches: guards and actions (like the
-    RTP wraparound arithmetic of the media-spam machine) that the linear
-    IR cannot express.  Supplied by the host at load time. *)
+(** Registry for [extern] names, supplied by the host at load time:
+    escape-hatch guards and actions (like the RTP wraparound arithmetic
+    of the media-spam machine) that the linear IR cannot express, and
+    named integer host constants (configured thresholds and windows).
+    A host constant elaborates to a plain [Ir.Int_const] in integer
+    position, to the delay of a [set_timer], and to its decimal text in
+    an attack description. *)
 
 val no_externs : externs
 

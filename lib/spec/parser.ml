@@ -60,6 +60,12 @@ let at_keyword st kw = match cur_kind st with L.IDENT s -> String.equal s kw | _
 
 let eat_keyword st kw = if at_keyword st kw then (bump st; true) else false
 
+(* [extern NAME] after its keyword was seen: the name and the span of
+   both tokens. *)
+let extern_name st sp =
+  bump st;
+  Option.map (fun (name, sp2) -> (name, Loc.merge sp sp2)) (ident st "an extern name")
+
 let parse_lit st : Ast.lit option =
   match cur_kind st with
   | L.INT n ->
@@ -236,9 +242,8 @@ and parse_primary st =
       bump st;
       { Ast.e = Ast.Lit Ast.L_unset; e_span = sp }
   | L.IDENT "extern" -> (
-      bump st;
-      match ident st "an extern name" with
-      | Some (name, sp2) -> { Ast.e = Ast.Extern_ref name; e_span = Loc.merge sp sp2 }
+      match extern_name st sp with
+      | Some (name, sp) -> { Ast.e = Ast.Extern_ref name; e_span = sp }
       | None -> { Ast.e = Ast.Extern_ref "?"; e_span = sp })
   | L.IDENT name -> (
       bump st;
@@ -265,14 +270,36 @@ and parse_primary st =
       bump st;
       { Ast.e = Ast.Lit Ast.L_unset; e_span = sp }
 
-let parse_duration st =
+let parse_delay st =
+  let sp = cur_span st in
   match cur_kind st with
   | L.DURATION us ->
       bump st;
-      Some us
+      Some (Ast.Delay us)
+  | L.IDENT "extern" ->
+      Option.map (fun (name, sp) -> Ast.Delay_extern (name, sp)) (extern_name st sp)
   | _ ->
-      expected st "a duration (e.g. 250ms, 1s)";
+      expected st "a duration (e.g. 250ms, 1s) or extern NAME";
       None
+
+(* One or more string literals and [extern NAME] host constants. *)
+let parse_desc st =
+  let rec go acc =
+    let sp = cur_span st in
+    match cur_kind st with
+    | L.STRING s ->
+        bump st;
+        go (Ast.D_text s :: acc)
+    | L.IDENT "extern" -> (
+        match extern_name st sp with
+        | Some (name, sp) -> go (Ast.D_extern (name, sp) :: acc)
+        | None -> None)
+    | _ when acc <> [] -> Some (List.rev acc)
+    | _ ->
+        expected st "an alert description string";
+        None
+  in
+  go []
 
 let rec parse_act st : Ast.act option =
   let sp = cur_span st in
@@ -336,7 +363,7 @@ let rec parse_act st : Ast.act option =
           recover st;
           None
       | Some (id, _) -> (
-          match parse_duration st with
+          match parse_delay st with
           | None ->
               recover st;
               None
@@ -536,13 +563,11 @@ let parse_item st : Ast.item option =
         recover st;
         None
     | Some (name, nsp) -> (
-        match cur_kind st with
-        | L.STRING desc ->
-            bump st;
+        match parse_desc st with
+        | Some desc ->
             ignore (eat st L.SEMI "';'");
             Some (Ast.I_attack { at_state = name; at_desc = desc; at_span = Loc.merge sp nsp })
-        | _ ->
-            expected st "an alert description string";
+        | None ->
             recover st;
             None))
   else if eat_keyword st "trans" then parse_trans st sp

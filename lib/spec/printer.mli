@@ -1,22 +1,12 @@
-(** Canonical [.vspec] rendering, and "unelaboration" of compiled-in
-    machine specifications back to surface syntax.
+(** Canonical [.vspec] rendering.
 
     [print_file] is the canonical printer: [Parser.parse] of its output
     yields a span-ignoring structurally equal AST (the qcheck round-trip
-    property in the test suite).  [of_machine] lifts an IR-built
-    {!Efsm.Machine.spec} into the AST, which is how the builtin machines
-    are exported as [examples/specs/*.vspec] ([vids-cli lint --emit]). *)
+    property in the test suite), and every shipped
+    [examples/specs/*.vspec] file is already in this canonical form. *)
 
 val print_exp : Ast.exp -> string
 
 val print_machine : Ast.machine -> string
 
 val print_file : Ast.file -> string
-
-exception Unprintable of string
-(** Raised by {!of_machine} on a spec that cannot round-trip: a
-    transition built from raw closures (no [Ir] syntax) or a constant
-    outside the surface language (floats). *)
-
-val of_machine : Efsm.Machine.spec -> Efsm.Ir.decl list -> Ast.machine
-(** @raise Unprintable — see above. *)

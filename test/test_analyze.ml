@@ -241,18 +241,7 @@ let validate_gaps () =
 (* The shipped specifications verify clean                              *)
 (* ------------------------------------------------------------------ *)
 
-let shipped_systems () =
-  let cfg = Vids.Config.default in
-  [
-    ( "call",
-      [
-        (Vids.Sip_call_machine.spec cfg, Vids.Sip_call_machine.vars);
-        (Vids.Rtp_call_machine.spec cfg, Vids.Rtp_call_machine.vars);
-      ] );
-    ("invite-flood", [ (Vids.Invite_flood_machine.spec cfg, Vids.Invite_flood_machine.vars) ]);
-    ("media-spam", [ (Vids.Media_spam_machine.spec cfg, Vids.Media_spam_machine.vars) ]);
-    ("drdos", [ (Vids.Drdos_machine.spec cfg, Vids.Drdos_machine.vars) ]);
-  ]
+let shipped_systems () = Vids.Spec_load.systems Vids.Config.default
 
 let shipped_specs_clean () =
   List.iter
@@ -281,7 +270,7 @@ let shipped_report_renders () =
   let json = Analyze.Report.render_json report in
   check_bool "json has machines" true (contains json "\"machines\"");
   check_bool "json error count is zero" true (contains json "\"errors\": 0");
-  let sip = Vids.Sip_call_machine.spec Vids.Config.default in
+  let sip, _ = Option.get (Vids.Spec_load.builtin_for Vids.Config.default Vids.Keys.sip_machine) in
   let dot = Analyze.Report.render_dot report sip in
   check_bool "dot is a digraph" true (contains dot "digraph")
 

@@ -172,6 +172,8 @@ let machine_event_gen =
       (oneofl [ "INVITE"; "RESPONSE"; "ACK"; "BYE"; "CANCEL"; "REGISTER"; "OPTIONS" ])
       (int_range 100 699))
 
+let builtin name = fst (Option.get (Vids.Spec_load.builtin_for Vids.Config.default name))
+
 (* Feeding arbitrary SIP event sequences never yields nondeterminism —
    guards of the per-call machine must be pairwise disjoint (paper §4.1). *)
 let sip_machine_deterministic =
@@ -180,7 +182,7 @@ let sip_machine_deterministic =
     (fun events ->
       let m =
         Efsm.Machine.instantiate
-          (Vids.Sip_call_machine.spec Vids.Config.default)
+          (builtin Vids.Keys.sip_machine)
           ~globals:(Efsm.Env.globals ())
       in
       List.for_all
@@ -207,7 +209,7 @@ let spam_machine_deterministic =
     (fun packets ->
       let m =
         Efsm.Machine.instantiate
-          (Vids.Media_spam_machine.spec Vids.Config.default)
+          (builtin Vids.Keys.media_spam_machine)
           ~globals:(Efsm.Env.globals ())
       in
       List.for_all

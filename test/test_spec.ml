@@ -1,7 +1,8 @@
 (* Tests for the .vspec front end: positioned diagnostics on malformed
    specs (one fixture per diagnostic class), the parse/print round-trip
-   property, freshness of the shipped example specs against the
-   unelaborator, and digest transparency of DSL-loaded overrides. *)
+   property, the shipped specs (canonical form, [lint --emit], host
+   constants from the engine's config), and digest transparency of
+   DSL-loaded overrides. *)
 
 module A = Spec.Ast
 module P = Spec.Printer
@@ -62,6 +63,20 @@ let unknown_sync =
   expect_error ~code:"unknown-sync" ~line:4 ~col:10
     "machine M {\n  initial A;\n  trans t : A -> A on event e\n    do { sync NOPE.go(); }\n}\n"
 
+(* A host constant the loader does not register, in each of its three
+   positions: an integer operand, a timer delay, an attack description. *)
+let unknown_host_const_guard =
+  expect_error ~code:"unknown-extern" ~line:5 ~col:20
+    "machine M {\n  var n : int;\n  initial A;\n  trans t : A -> A on event e\n    when int0(n) > extern nope;\n}\n"
+
+let unknown_host_const_timer =
+  expect_error ~code:"unknown-extern" ~line:4 ~col:22
+    "machine M {\n  initial A;\n  trans t : A -> A on event e\n    do { set_timer w extern nope; }\n  trans u : A -> A on timer w;\n}\n"
+
+let unknown_host_const_desc =
+  expect_error ~code:"unknown-extern" ~line:3 ~col:25
+    "machine M {\n  initial A;\n  attack B \"more than \" extern nope \" hits\";\n}\n"
+
 (* A broken machine in a batch does not hide a clean one. *)
 let batch_isolation () =
   let broken = "machine BAD {\n  initial ;\n}\n" in
@@ -88,6 +103,7 @@ let name_pool = [ "ping"; "pong"; "tick"; "media" ]
 let machine_pool = [ "M0"; "M1"; "RTP" ]
 let field_pool = [ "from"; "tag"; "seq" ]
 let str_pool = [ ""; "a"; "b c"; "x\"y"; "line\nbreak"; "tab\there" ]
+let host_pool = [ "invite_flood_threshold"; "drdos_window"; "h_ext" ]
 
 let dexp e = { A.e; e_span = Spec.Loc.dummy }
 let dact a = { A.a; a_span = Spec.Loc.dummy }
@@ -117,7 +133,7 @@ let rec exp_gen n =
         map (fun l -> dexp (A.Lit l)) lit_gen;
         map (fun v -> dexp (A.Ident v)) (oneofl var_pool);
         map (fun f -> dexp (A.Fieldref f)) (oneofl field_pool);
-        map (fun e -> dexp (A.Extern_ref e)) (oneofl [ "is_spam"; "p_ext" ]);
+        map (fun e -> dexp (A.Extern_ref e)) (oneofl ([ "is_spam"; "p_ext" ] @ host_pool));
       ]
   in
   if n = 0 then atom
@@ -155,7 +171,13 @@ let rec act_gen n =
         map2
           (fun id d -> dact (A.Set_timer (id, d)))
           (oneofl label_pool)
-          (oneofl [ 0; 7; 40_000; 250_000; 1_000_000; 10_000_000 ]);
+          (oneof
+             [
+               map
+                 (fun us -> A.Delay us)
+                 (oneofl [ 0; 7; 40_000; 250_000; 1_000_000; 10_000_000 ]);
+               map (fun n -> A.Delay_extern (n, Spec.Loc.dummy)) (oneofl host_pool);
+             ]);
         map (fun id -> dact (A.Cancel_timer id)) (oneofl label_pool);
         map (fun nm -> dact (A.Extern_act nm)) (oneofl [ "advance_baseline"; "a_ext" ]);
       ]
@@ -201,7 +223,13 @@ let item_gen =
         map2
           (fun at_state at_desc ->
             A.I_attack { at_state; at_desc; at_span = Spec.Loc.dummy })
-          (oneofl state_pool) (oneofl str_pool) );
+          (oneofl state_pool)
+          (list_size (int_range 1 3)
+             (oneof
+                [
+                  map (fun s -> A.D_text s) (oneofl str_pool);
+                  map (fun n -> A.D_extern (n, Spec.Loc.dummy)) (oneofl host_pool);
+                ])) );
       ( 3,
         map
           (fun ((t_label, (t_from, t_to)), ((kind, name), (t_guard, t_acts))) ->
@@ -261,20 +289,97 @@ let read_file path =
   | Ok s -> s
   | Error e -> Alcotest.fail e
 
-(* The shipped files are exactly [lint --emit]'s canonical print of the
-   builtins: regenerating them after a machine change is a test failure,
-   not a silent drift. *)
-let emitted_specs_fresh () =
+(* The shipped files are the source of the builtins and are kept in the
+   printer's canonical form, so [print . parse] reproduces each byte. *)
+let shipped_specs_canonical () =
+  List.iter
+    (fun (_, base) ->
+      let path = example_path base in
+      let src = read_file path in
+      let parsed, diags = Spec.Parser.parse ~file:path src in
+      check (base ^ ".vspec parses clean") true (diags = []);
+      check_str (base ^ ".vspec is canonical") src (P.print_file parsed))
+    builtin_files
+
+(* [vids-cli lint --emit NAME] prints the embedded source, byte for byte. *)
+let emit_prints_shipped_file () =
   List.iter
     (fun (key, base) ->
-      let spec, decls =
-        match Vids.Spec_load.builtin_for Vids.Config.default key with
-        | Some sd -> sd
-        | None -> Alcotest.failf "no builtin %s" key
+      let ic =
+        Unix.open_process_args_in "../bin/vids_cli.exe" [| "vids-cli"; "lint"; "--emit"; key |]
       in
-      let expected = P.print_machine (P.of_machine spec decls) in
-      check_str (base ^ ".vspec is fresh") expected (read_file (example_path base)))
+      let out = In_channel.input_all ic in
+      check (key ^ ": exit 0") true (Unix.close_process_in ic = Unix.WEXITED 0);
+      check_str (key ^ ": --emit equals " ^ base ^ ".vspec") (read_file (example_path base)) out)
     builtin_files
+
+(* Every config field a builtin reads reaches its elaborated spec: the
+   guards' integer constants, the timer delays and the alert text. *)
+let host_config =
+  {
+    Vids.Config.default with
+    invite_flood_threshold = 2;
+    invite_flood_window = Dsim.Time.of_ms 3000.0;
+    bye_inflight_timer = Dsim.Time.of_ms 123.0;
+    rtp_flood_threshold = 77;
+    rtp_flood_window = Dsim.Time.of_ms 4000.0;
+    drdos_threshold = 5;
+    drdos_window = Dsim.Time.of_ms 7000.0;
+  }
+
+let rec iexpr_consts = function
+  | Efsm.Ir.Int_const n -> [ n ]
+  | Efsm.Ir.Add (a, b) | Efsm.Ir.Sub (a, b) -> iexpr_consts a @ iexpr_consts b
+  | Efsm.Ir.Int_of _ | Efsm.Ir.Int_or0 _ -> []
+
+let rec pred_consts = function
+  | Efsm.Ir.Cmp (_, a, b) -> iexpr_consts a @ iexpr_consts b
+  | Efsm.Ir.Not p -> pred_consts p
+  | Efsm.Ir.And ps | Efsm.Ir.Or ps -> List.concat_map pred_consts ps
+  | _ -> []
+
+let rec act_delays = function
+  | Efsm.Ir.Set_timer { delay; _ } -> [ Dsim.Time.to_us delay ]
+  | Efsm.Ir.If (_, a, b) -> List.concat_map act_delays (a @ b)
+  | _ -> []
+
+let syntax_of (spec : Efsm.Machine.spec) =
+  List.filter_map (fun t -> t.Efsm.Machine.syntax) spec.Efsm.Machine.transitions
+
+let check_machine config name ~guard ~timer ~attack =
+  let spec = fst (Option.get (Vids.Spec_load.builtin_for config name)) in
+  let syntax = syntax_of spec in
+  let consts = List.concat_map (fun s -> pred_consts s.Efsm.Ir.guard) syntax in
+  let delays = List.concat_map (fun s -> List.concat_map act_delays s.Efsm.Ir.acts) syntax in
+  Option.iter
+    (fun n -> check (Printf.sprintf "%s guard compares with %d" name n) true (List.mem n consts))
+    guard;
+  check (Printf.sprintf "%s timers are %d us" name timer) true
+    (delays <> [] && List.for_all (( = ) timer) delays);
+  Option.iter
+    (fun (state, desc) ->
+      check_str (name ^ " description") desc (List.assoc state spec.Efsm.Machine.attack_states))
+    attack
+
+let host_constants_reach_machines () =
+  let open Vids.Keys in
+  check_machine host_config invite_flood_machine ~guard:(Some 2) ~timer:3_000_000
+    ~attack:(Some (st_invite_flood, "more than 2 INVITEs within the window"));
+  check_machine host_config rtp_machine ~guard:None ~timer:123_000 ~attack:None;
+  check_machine host_config media_spam_machine ~guard:(Some 77) ~timer:4_000_000
+    ~attack:(Some (st_rtp_flood, "more than 77 RTP packets per window on one stream"));
+  check_machine host_config drdos_machine ~guard:(Some 5) ~timer:7_000_000
+    ~attack:(Some (st_drdos, "more than 5 unsolicited SIP responses within the window"));
+  (* The default config gives back the values and alert text the
+     machines always had. *)
+  let default = Vids.Config.default in
+  check_machine default invite_flood_machine ~guard:(Some 6) ~timer:1_000_000
+    ~attack:(Some (st_invite_flood, "more than 6 INVITEs within the window"));
+  check_machine default rtp_machine ~guard:None ~timer:250_000 ~attack:None;
+  check_machine default media_spam_machine ~guard:(Some 150) ~timer:1_000_000
+    ~attack:(Some (st_rtp_flood, "more than 150 RTP packets per window on one stream"));
+  check_machine default drdos_machine ~guard:(Some 30) ~timer:10_000_000
+    ~attack:(Some (st_drdos, "more than 30 unsolicited SIP responses within the window"))
 
 let examples_lint_clean () =
   let files = List.map (fun (_, b) -> example_path b) builtin_files in
@@ -383,12 +488,17 @@ let suite =
         tc "type mismatch positioned" type_mismatch;
         tc "duplicate state positioned" dup_state;
         tc "unknown sync target positioned" unknown_sync;
+        tc "unknown host constant in a guard positioned" unknown_host_const_guard;
+        tc "unknown host constant in a timer positioned" unknown_host_const_timer;
+        tc "unknown host constant in a description positioned" unknown_host_const_desc;
         tc "broken file does not hide clean one" batch_isolation;
       ] );
     ("spec.roundtrip", [ round_trip ]);
     ( "spec.examples",
       [
-        tc "emitted specs are fresh" emitted_specs_fresh;
+        tc "shipped specs are canonical" shipped_specs_canonical;
+        tc "lint --emit prints the shipped file" emit_prints_shipped_file;
+        tc "host constants reach the machines" host_constants_reach_machines;
         tc "examples lint clean with spans" examples_lint_clean;
       ] );
     ( "spec.digest",
