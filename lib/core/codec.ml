@@ -5,6 +5,7 @@
    them mid-write. *)
 
 let hex = Efsm.Value.hex_of_string
+let add_hex = Efsm.Value.add_hex
 let unhex = Efsm.Value.string_of_hex
 
 (* --------------------------------------------------------------- *)
@@ -20,13 +21,17 @@ let crc_table =
          done;
          !c))
 
-let crc32 s =
+let crc32_bytes b ~pos ~len =
   let table = Lazy.force crc_table in
   let c = ref 0xFFFFFFFF in
-  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
 
-let crc32_hex s = Printf.sprintf "%08x" (crc32 s)
+let crc32 s = crc32_bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
+let crc_to_hex c = Printf.sprintf "%08x" c
+let crc32_hex s = crc_to_hex (crc32 s)
 
 (* --------------------------------------------------------------- *)
 (* Token-list plumbing                                              *)
@@ -41,7 +46,10 @@ let opt_time_tok = function
   | "-" -> Ok None
   | s -> Result.map (fun t -> Some t) (time_tok s)
 
-let opt_time_str = function None -> "-" | Some t -> string_of_int (Dsim.Time.to_us t)
+let add_int buf n = Buffer.add_string buf (string_of_int n)
+let add_time buf t = add_int buf (Dsim.Time.to_us t)
+
+let add_opt_time buf = function None -> Buffer.add_char buf '-' | Some t -> add_time buf t
 
 let take = function [] -> Error "truncated record" | tok :: rest -> Ok (tok, rest)
 
@@ -49,10 +57,14 @@ let take = function [] -> Error "truncated record" | tok :: rest -> Ok (tok, res
 (* Events                                                           *)
 (* --------------------------------------------------------------- *)
 
-let channel_to_token = function
-  | Efsm.Event.Data proto -> "D" ^ hex proto
-  | Efsm.Event.Sync { from_machine } -> "S" ^ hex from_machine
-  | Efsm.Event.Timer -> "T"
+let add_channel buf = function
+  | Efsm.Event.Data proto ->
+      Buffer.add_char buf 'D';
+      add_hex buf proto
+  | Efsm.Event.Sync { from_machine } ->
+      Buffer.add_char buf 'S';
+      add_hex buf from_machine
+  | Efsm.Event.Timer -> Buffer.add_char buf 'T'
 
 let channel_of_token tok =
   if String.length tok = 0 then Error "empty channel token"
@@ -67,14 +79,21 @@ let channel_of_token tok =
 (* [<name-hex> <at_us> <chan> <argc> (<key-hex> <value>)*] — the explicit
    argument count makes the encoding self-delimiting inside a longer
    token list. *)
-let event_to_tokens (e : Efsm.Event.t) =
-  hex e.Efsm.Event.name
-  :: string_of_int (Dsim.Time.to_us e.Efsm.Event.at)
-  :: channel_to_token e.Efsm.Event.channel
-  :: string_of_int (List.length e.Efsm.Event.args)
-  :: List.concat_map
-       (fun (k, v) -> [ hex k; Efsm.Value.to_token v ])
-       e.Efsm.Event.args
+let add_event buf (e : Efsm.Event.t) =
+  add_hex buf e.Efsm.Event.name;
+  Buffer.add_char buf ' ';
+  add_time buf e.Efsm.Event.at;
+  Buffer.add_char buf ' ';
+  add_channel buf e.Efsm.Event.channel;
+  Buffer.add_char buf ' ';
+  add_int buf (List.length e.Efsm.Event.args);
+  List.iter
+    (fun (k, v) ->
+      Buffer.add_char buf ' ';
+      add_hex buf k;
+      Buffer.add_char buf ' ';
+      Efsm.Value.add_token buf v)
+    e.Efsm.Event.args
 
 let event_of_tokens tokens =
   let* name_hex, rest = take tokens in
@@ -103,14 +122,16 @@ let event_of_tokens tokens =
 (* Alerts                                                           *)
 (* --------------------------------------------------------------- *)
 
-let alert_to_tokens (a : Alert.t) =
-  [
-    string_of_int (Dsim.Time.to_us a.Alert.at);
-    Alert.kind_to_string a.Alert.kind;
-    Alert.severity_to_string a.Alert.severity;
-    hex a.Alert.subject;
-    hex a.Alert.detail;
-  ]
+let add_alert buf (a : Alert.t) =
+  add_time buf a.Alert.at;
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (Alert.kind_to_string a.Alert.kind);
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (Alert.severity_to_string a.Alert.severity);
+  Buffer.add_char buf ' ';
+  add_hex buf a.Alert.subject;
+  Buffer.add_char buf ' ';
+  add_hex buf a.Alert.detail
 
 let alert_of_tokens = function
   | [ at_tok; kind_tok; sev_tok; subject_hex; detail_hex ] -> (

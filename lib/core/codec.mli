@@ -6,13 +6,22 @@
 
 val hex : string -> string
 
+val add_hex : Buffer.t -> string -> unit
+(** Appends [hex s]. *)
+
 val unhex : string -> (string, string) result
 
 val crc32 : string -> int
 (** IEEE CRC-32 of the bytes, as a non-negative int. *)
 
-val crc32_hex : string -> string
+val crc32_bytes : Bytes.t -> pos:int -> len:int -> int
+(** {!crc32} of the [len] bytes at [pos]. *)
+
+val crc_to_hex : int -> string
 (** Zero-padded 8-digit lowercase hex. *)
+
+val crc32_hex : string -> string
+(** [crc_to_hex (crc32 s)]. *)
 
 val int_tok : string -> (int, string) result
 
@@ -21,18 +30,26 @@ val time_tok : string -> (Dsim.Time.t, string) result
 val opt_time_tok : string -> (Dsim.Time.t option, string) result
 (** ["-"] denotes [None]. *)
 
-val opt_time_str : Dsim.Time.t option -> string
+val add_int : Buffer.t -> int -> unit
+
+val add_time : Buffer.t -> Dsim.Time.t -> unit
+(** Microseconds, as {!time_tok} reads them. *)
+
+val add_opt_time : Buffer.t -> Dsim.Time.t option -> unit
+(** ["-"] for [None], as {!opt_time_tok} reads it. *)
 
 val take : string list -> (string * string list, string) result
 (** Pops the next token or fails on a truncated record. *)
 
-val event_to_tokens : Efsm.Event.t -> string list
-(** Self-delimiting: an explicit argument count precedes the key/value
-    pairs, so the encoding can be embedded in a longer token list. *)
+val add_event : Buffer.t -> Efsm.Event.t -> unit
+(** Appends the event as space-separated tokens.  Self-delimiting: an
+    explicit argument count precedes the key/value pairs, so the encoding
+    can be embedded in a longer token list. *)
 
 val event_of_tokens : string list -> (Efsm.Event.t * string list, string) result
 (** Returns the decoded event and the unconsumed tail. *)
 
-val alert_to_tokens : Alert.t -> string list
+val add_alert : Buffer.t -> Alert.t -> unit
+(** Appends the alert as space-separated tokens. *)
 
 val alert_of_tokens : string list -> (Alert.t, string) result

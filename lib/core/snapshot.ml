@@ -164,109 +164,189 @@ let capture ?(seq = 0) ?(ext = []) ~at engine =
 (* Serialization                                                    *)
 (* --------------------------------------------------------------- *)
 
-let us = Dsim.Time.to_us
-let bool01 b = if b then "1" else "0"
+(* Every record is appended straight into one buffer: no line goes
+   through [Printf] and no hex field is built as a string of its own, so a
+   checkpoint costs about one pass over the state it writes.  Each
+   [*_field] writes a separating space and then its operand. *)
+
+let add = Buffer.add_string
+let nl buf = Buffer.add_char buf '\n'
+
+let int_field buf n =
+  Buffer.add_char buf ' ';
+  Codec.add_int buf n
+
+let time_field buf t =
+  Buffer.add_char buf ' ';
+  Codec.add_time buf t
+
+let opt_time_field buf t =
+  Buffer.add_char buf ' ';
+  Codec.add_opt_time buf t
+
+let hex_field buf s =
+  Buffer.add_char buf ' ';
+  Codec.add_hex buf s
+
+let token_field buf v =
+  Buffer.add_char buf ' ';
+  Efsm.Value.add_token buf v
+
+let flag_field buf b = add buf (if b then " 1" else " 0")
+
+let binding_line buf tag (k, v) =
+  add buf tag;
+  hex_field buf k;
+  token_field buf v;
+  nl buf
 
 let system_lines buf ss =
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "G %s %s\n" (Codec.hex k) (Efsm.Value.to_token v)))
-    ss.s_globals;
+  List.iter (binding_line buf "G") ss.s_globals;
   List.iter
     (fun (target, event) ->
-      Buffer.add_string buf
-        (Printf.sprintf "Y %s %s\n" (Codec.hex target)
-           (String.concat " " (Codec.event_to_tokens event))))
+      add buf "Y";
+      hex_field buf target;
+      Buffer.add_char buf ' ';
+      Codec.add_event buf event;
+      nl buf)
     ss.s_syncs;
   List.iter
     (fun (machine, id, fire_at) ->
-      Buffer.add_string buf
-        (Printf.sprintf "R %s %s %d\n" (Codec.hex machine) (Codec.hex id) (us fire_at)))
+      add buf "R";
+      hex_field buf machine;
+      hex_field buf id;
+      time_field buf fire_at;
+      nl buf)
     ss.s_timers;
   List.iter
     (fun ms ->
-      Buffer.add_string buf
-        (Printf.sprintf "M %s %s\n" (Codec.hex ms.m_name) (Codec.hex ms.m_state));
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf "V %s %s\n" (Codec.hex k) (Efsm.Value.to_token v)))
-        ms.m_vars;
+      add buf "M";
+      hex_field buf ms.m_name;
+      hex_field buf ms.m_state;
+      nl buf;
+      List.iter (binding_line buf "V") ms.m_vars;
       List.iter
         (fun (t, label) ->
-          Buffer.add_string buf (Printf.sprintf "H %d %s\n" (us t) (Codec.hex label)))
+          add buf "H";
+          time_field buf t;
+          hex_field buf label;
+          nl buf)
         ms.m_hist)
     ss.s_machines
 
-let body_string t =
-  let buf = Buffer.create 4096 in
-  let c = t.engine.Engine.Persist.p_counters in
+let add_body buf t =
+  let e = t.engine in
+  let c = e.Engine.Persist.p_counters in
   (* The 14th EC field is reserved: always written as 0 and ignored on
      read, so older snapshots still load and snapshot bytes and digests
      keep their shape. *)
-  Buffer.add_string buf
-    (Printf.sprintf "EC %d %d %d %d %d %d %d %d %d %d %d %d %d 0\n" c.Engine.sip_packets
-       c.Engine.rtp_packets c.Engine.rtcp_packets c.Engine.other_packets c.Engine.malformed_packets
-       c.Engine.orphan_requests c.Engine.orphan_responses c.Engine.alerts_raised
-       c.Engine.alerts_suppressed c.Engine.anomalies c.Engine.faults
-       t.engine.Engine.Persist.p_injects c.Engine.rtp_shed);
-  Buffer.add_string buf
-    (Printf.sprintf "ET %d %d\n"
-       (us t.engine.Engine.Persist.p_busy)
-       (us t.engine.Engine.Persist.p_inline_free_at));
-  (match t.engine.Engine.Persist.p_degraded_since with
-  | None -> ()
-  | Some since -> Buffer.add_string buf (Printf.sprintf "ED %d\n" (us since)));
+  add buf "EC";
+  List.iter (int_field buf)
+    [
+      c.Engine.sip_packets; c.Engine.rtp_packets; c.Engine.rtcp_packets; c.Engine.other_packets;
+      c.Engine.malformed_packets; c.Engine.orphan_requests; c.Engine.orphan_responses;
+      c.Engine.alerts_raised; c.Engine.alerts_suppressed; c.Engine.anomalies; c.Engine.faults;
+      e.Engine.Persist.p_injects; c.Engine.rtp_shed; 0;
+    ];
+  nl buf;
+  add buf "ET";
+  time_field buf e.Engine.Persist.p_busy;
+  time_field buf e.Engine.Persist.p_inline_free_at;
+  nl buf;
+  Option.iter
+    (fun since ->
+      add buf "ED";
+      time_field buf since;
+      nl buf)
+    e.Engine.Persist.p_degraded_since;
   List.iter
-    (fun (a, b) -> Buffer.add_string buf (Printf.sprintf "EL %d %d\n" (us a) (us b)))
-    t.engine.Engine.Persist.p_degraded_log;
+    (fun (a, b) ->
+      add buf "EL";
+      time_field buf a;
+      time_field buf b;
+      nl buf)
+    e.Engine.Persist.p_degraded_log;
   List.iter
     (fun (a, b, missed) ->
-      Buffer.add_string buf (Printf.sprintf "EW %d %d %d\n" (us a) (us b) missed))
-    t.engine.Engine.Persist.p_downtime;
+      add buf "EW";
+      time_field buf a;
+      time_field buf b;
+      int_field buf missed;
+      nl buf)
+    e.Engine.Persist.p_downtime;
   List.iter
     (fun alert ->
-      Buffer.add_string buf ("EA " ^ String.concat " " (Codec.alert_to_tokens alert) ^ "\n"))
-    t.engine.Engine.Persist.p_alerts;
-  Buffer.add_string buf
-    (Printf.sprintf "FB %d %d %d %d %d %d %d %s\n" t.fb.fb_peak t.fb.fb_created t.fb.fb_deleted
-       t.fb.fb_calls_evicted t.fb.fb_detectors_evicted t.fb.fb_swept t.fb.fb_dswept
-       (Codec.opt_time_str t.fb.fb_sweep_at));
+      add buf "EA ";
+      Codec.add_alert buf alert;
+      nl buf)
+    e.Engine.Persist.p_alerts;
+  add buf "FB";
+  List.iter (int_field buf)
+    [
+      t.fb.fb_peak; t.fb.fb_created; t.fb.fb_deleted; t.fb.fb_calls_evicted;
+      t.fb.fb_detectors_evicted; t.fb.fb_swept; t.fb.fb_dswept;
+    ];
+  opt_time_field buf t.fb.fb_sweep_at;
+  nl buf;
   List.iter
     (fun cs ->
-      Buffer.add_string buf
-        (Printf.sprintf "CALL %s %d %s %s %s %s\n" (Codec.hex cs.c_id) (us cs.c_created)
-           (bool01 cs.c_closing) (bool01 cs.c_finish)
-           (Codec.opt_time_str cs.c_delete_at)
-           (Codec.opt_time_str cs.c_recheck_at));
+      add buf "CALL";
+      hex_field buf cs.c_id;
+      time_field buf cs.c_created;
+      flag_field buf cs.c_closing;
+      flag_field buf cs.c_finish;
+      opt_time_field buf cs.c_delete_at;
+      opt_time_field buf cs.c_recheck_at;
+      nl buf;
       List.iter
         (fun addr ->
-          Buffer.add_string buf
-            (Printf.sprintf "CM %s\n"
-               (Efsm.Value.to_token
-                  (Efsm.Value.Addr (Dsim.Addr.host addr, Dsim.Addr.port addr)))))
+          add buf "CM";
+          token_field buf (Efsm.Value.Addr (Dsim.Addr.host addr, Dsim.Addr.port addr));
+          nl buf)
         cs.c_media;
       system_lines buf cs.c_system)
     t.calls;
   List.iter
     (fun ds ->
-      Buffer.add_string buf
-        (Printf.sprintf "DET %s %s %d %d\n"
-           (Fact_base.kind_label ds.d_kind)
-           (Codec.hex ds.d_key) (us ds.d_created) (us ds.d_touched));
+      add buf "DET ";
+      add buf (Fact_base.kind_label ds.d_kind);
+      hex_field buf ds.d_key;
+      time_field buf ds.d_created;
+      time_field buf ds.d_touched;
+      nl buf;
       system_lines buf ds.d_system)
     t.detectors;
   List.iter
     (fun (tag, payload) ->
-      Buffer.add_string buf (Printf.sprintf "X %s %s\n" (Codec.hex tag) (Codec.hex payload)))
-    t.ext;
-  Buffer.contents buf
+      add buf "X";
+      hex_field buf tag;
+      hex_field buf payload;
+      nl buf)
+    t.ext
 
+(* [<magic> <version> <seq> <at_us>\n<body>END <crc32> <body length>\n]:
+   header, body and trailer go into one buffer, which is copied out once;
+   the CRC is then taken over the body where it lies and patched into the
+   trailer's placeholder. *)
 let to_string t =
-  let body = body_string t in
-  Printf.sprintf "%s %d %d %d\n%sEND %s %d\n" magic version t.seq (us t.at) body
-    (Codec.crc32_hex body) (String.length body)
+  let buf = Buffer.create 65536 in
+  add buf magic;
+  int_field buf version;
+  int_field buf t.seq;
+  time_field buf t.at;
+  nl buf;
+  let body_start = Buffer.length buf in
+  add_body buf t;
+  let body_len = Buffer.length buf - body_start in
+  add buf "END ";
+  let crc_at = Buffer.length buf in
+  add buf "00000000";
+  int_field buf body_len;
+  nl buf;
+  let text = Buffer.to_bytes buf in
+  let crc = Codec.crc_to_hex (Codec.crc32_bytes text ~pos:body_start ~len:body_len) in
+  Bytes.blit_string crc 0 text crc_at (String.length crc);
+  Bytes.unsafe_to_string text
 
 (* --------------------------------------------------------------- *)
 (* Parsing                                                          *)

@@ -53,26 +53,67 @@ let type_error expected got =
 (* Wire tokens for checkpointing: compact, space-free, and exact (floats
    round-trip through their bit pattern, strings through hex). *)
 
+let hex_digits = "0123456789abcdef"
+
+let add_hex buf s =
+  for i = 0 to String.length s - 1 do
+    let b = Char.code s.[i] in
+    Buffer.add_char buf hex_digits.[b lsr 4];
+    Buffer.add_char buf hex_digits.[b land 0xf]
+  done
+
 let hex_of_string s =
-  let buffer = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buffer (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buffer
+  let out = Bytes.create (2 * String.length s) in
+  for i = 0 to String.length s - 1 do
+    let b = Char.code s.[i] in
+    Bytes.set out (2 * i) hex_digits.[b lsr 4];
+    Bytes.set out ((2 * i) + 1) hex_digits.[b land 0xf]
+  done;
+  Bytes.unsafe_to_string out
+
+let nibble = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
 
 let string_of_hex h =
-  let n = String.length h in
-  if n mod 2 <> 0 then Error "odd-length hex"
+  let n = String.length h / 2 in
+  if String.length h mod 2 <> 0 then Error "odd-length hex"
   else
-    try
-      Ok (String.init (n / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2))))
-    with Failure _ -> Error "invalid hex digit"
+    let out = Bytes.create n in
+    let rec go i =
+      if i = n then Ok (Bytes.unsafe_to_string out)
+      else
+        let hi = nibble h.[2 * i] and lo = nibble h.[(2 * i) + 1] in
+        if hi < 0 || lo < 0 then Error "invalid hex digit"
+        else begin
+          Bytes.set out i (Char.chr ((hi lsl 4) lor lo));
+          go (i + 1)
+        end
+    in
+    go 0
 
-let to_token = function
-  | Int n -> Printf.sprintf "i%d" n
-  | Str s -> "s" ^ hex_of_string s
-  | Bool b -> if b then "b1" else "b0"
-  | Float f -> Printf.sprintf "f%Lx" (Int64.bits_of_float f)
-  | Addr (h, p) -> Printf.sprintf "a%s:%d" (hex_of_string h) p
-  | Unset -> "u"
+let add_token buf = function
+  | Int n ->
+      Buffer.add_char buf 'i';
+      Buffer.add_string buf (string_of_int n)
+  | Str s ->
+      Buffer.add_char buf 's';
+      add_hex buf s
+  | Bool b -> Buffer.add_string buf (if b then "b1" else "b0")
+  | Float f -> Printf.bprintf buf "f%Lx" (Int64.bits_of_float f)
+  | Addr (h, p) ->
+      Buffer.add_char buf 'a';
+      add_hex buf h;
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (string_of_int p)
+  | Unset -> Buffer.add_char buf 'u'
+
+let to_token v =
+  let buf = Buffer.create 16 in
+  add_token buf v;
+  Buffer.contents buf
 
 let of_token token =
   if String.length token = 0 then Error "empty value token"

@@ -27,11 +27,20 @@ val to_string : t -> string
 
 val to_token : t -> string
 
+val add_token : Buffer.t -> t -> unit
+(** Appends [to_token v] to the buffer. *)
+
 val of_token : string -> (t, string) result
 
 val hex_of_string : string -> string
+(** Two lowercase digits per byte. *)
+
+val add_hex : Buffer.t -> string -> unit
+(** Appends [hex_of_string s] to the buffer. *)
 
 val string_of_hex : string -> (string, string) result
+(** Inverse of {!hex_of_string}; also accepts upper-case digits.  Anything
+    but an even number of hex digits is an [Error]; never raises. *)
 
 (** Coercions; raise [Type_error] with a descriptive message. *)
 

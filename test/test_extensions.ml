@@ -40,6 +40,8 @@ let trace_bad_lines () =
   check "bad hex" true
     (Result.is_error (Vids.Trace.record_of_line "1 a:1 b:2 zz"));
   check "odd hex" true (Result.is_error (Vids.Trace.record_of_line "1 a:1 b:2 abc"));
+  check "underscore hex digit" true
+    (Result.is_error (Vids.Trace.record_of_line "1 a:1 b:2 1_"));
   check "bad addr" true (Result.is_error (Vids.Trace.record_of_line "1 nope b:2 ab"))
 
 let trace_file_roundtrip () =

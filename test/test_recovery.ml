@@ -192,6 +192,40 @@ let journal_line_roundtrip =
       | Ok e' -> e' = e
       | Error _ -> false)
 
+(* Both hex encoders against a per-byte [Printf] reference, and the
+   decoder on upper-case digits. *)
+let reference_hex s =
+  String.to_seq s
+  |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+  |> List.of_seq |> String.concat ""
+
+let hex_codec_reference =
+  q "hex: matches per-byte %02x and decodes both cases"
+    (QCheck.make ~print:String.escaped bytes_gen)
+    (fun s ->
+      let h = Efsm.Value.hex_of_string s in
+      let buf = Buffer.create 8 in
+      Efsm.Value.add_hex buf s;
+      String.equal h (reference_hex s)
+      && String.equal (Buffer.contents buf) h
+      && Efsm.Value.string_of_hex h = Ok s
+      && Efsm.Value.string_of_hex (String.uppercase_ascii h) = Ok s)
+
+let hex_decoder_rejects () =
+  let bad = Alcotest.(check (result string string)) in
+  bad "underscore digit" (Error "invalid hex digit") (Vids.Codec.unhex "1_");
+  bad "sign" (Error "invalid hex digit") (Vids.Codec.unhex "+1");
+  bad "space" (Error "invalid hex digit") (Vids.Codec.unhex " 1");
+  bad "non-hex letter" (Error "invalid hex digit") (Vids.Codec.unhex "0g");
+  bad "odd length" (Error "odd-length hex") (Vids.Codec.unhex "abc");
+  check "value token with underscore digit" true (Result.is_error (Efsm.Value.of_token "s1_"));
+  check "addr token with underscore digit" true
+    (Result.is_error (Efsm.Value.of_token "a1_:5060"))
+
+let crc32_vectors () =
+  Alcotest.(check string) "check value" "cbf43926" (Vids.Codec.crc32_hex "123456789");
+  Alcotest.(check string) "empty input" "00000000" (Vids.Codec.crc32_hex "")
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot round-trip on a real engine                                *)
 (* ------------------------------------------------------------------ *)
@@ -289,6 +323,67 @@ let snapshot_reserved_ec_field () =
             (Vids.Snapshot.digest ~at restored);
           Alcotest.(check string) "re-captures with 0" text
             (Vids.Snapshot.to_string (Vids.Snapshot.capture ~seq:2 ~at restored)))
+
+(* A snapshot holding every record kind (EC ET ED EL EW EA FB CALL CM G
+   Y R M V H DET X) and every value-token kind (i s b f a u), as the
+   format-1 writer emitted it.  Any change to these bytes is a format
+   change and needs a version bump. *)
+let golden_snapshot =
+  {|VIDS-SNAPSHOT 1 7 5000000
+EC 40 120 3 2 1 1 1 2 1 1 0 0 4 0
+ET 4800000 4900000
+ED 4500000
+EL 1000000 1500000
+EW 2000000 2500000 17
+EA 3000000 INVITE-flood critical 6473743a31302e322e302e3130 6d6f7265207468616e20313020494e5649544573
+EA 4000000 spec-deviation warning 63616c6c2d3140612e6578616d706c65 41434b20666f7220616e20756e6b6e6f776e2063616c6c
+FB 3 5 4 1 0 2 1 7300000
+CALL 63616c6c2d3140612e6578616d706c65 1000000 0 1 - 5500000
+CM a31302e312e302e3130:16384
+CM a31302e322e302e3130:20000
+G 675f63616c6c65655f6d65646961 a31302e322e302e3130:20000
+G 675f63616c6c65725f6d65646961 a31302e312e302e3130:16384
+G 675f636f646563 i18
+Y 525450 64656c74615f627965 4990000 S534950 2 6279655f73656e6465725f6970 s31302e312e302e3130 7372635f6d617463686564 b1
+R 525450 6279655f696e666c696768745f54 5200000
+M 534950 54454152444f574e
+V 6c5f63616c6c5f6964 s63616c6c2d3140612e6578616d706c65
+V 6c5f6a6974746572 f3ff8000000000000
+V 6c5f746f5f746167 u
+H 1000000 696e765f6e6577
+H 1200000 726573705f3278785f646972656374
+H 4990000 6279655f6561726c79
+M 525450 494e4954
+V 6c5f6279655f7372635f6d617463686564 b0
+V 6c5f696e666c696768745f636f756e74 i-3
+DET flood 31302e322e302e3130 3000000 3100000
+R 494e564954455f464c4f4f44 666c6f6f645f77696e646f775f5431 6000000
+M 494e564954455f464c4f4f44 5041434b45545f52435644
+V 6c5f70636b5f636f756e746572 i4
+H 3000000 66697273745f696e76697465
+X 656e666f726365 72756c6520312064726f70
+END b32db139 1362
+|}
+
+let golden_snap () =
+  match Vids.Snapshot.of_string golden_snapshot with
+  | Ok snap -> snap
+  | Error e -> Alcotest.failf "golden snapshot rejected: %s" e
+
+let snapshot_golden_text () =
+  Alcotest.(check string) "to_string reproduces the golden bytes" golden_snapshot
+    (Vids.Snapshot.to_string (golden_snap ()))
+
+(* The golden's sweep phase is only re-armed by an engine that sweeps. *)
+let snapshot_golden_restore () =
+  let snap = golden_snap () in
+  match Vids.Snapshot.restore ~config:(Vids.Config.governed Vids.Config.default) snap with
+  | Error e -> Alcotest.failf "restore failed: %s" e
+  | Ok (sched, engine) ->
+      Alcotest.(check string) "restore + capture reproduces the golden bytes" golden_snapshot
+        (Vids.Snapshot.to_string
+           (Vids.Snapshot.capture ~seq:(Vids.Snapshot.seq snap) ~ext:(Vids.Snapshot.ext snap)
+              ~at:(Dsim.Scheduler.now sched) engine))
 
 (* ------------------------------------------------------------------ *)
 (* The convergence property: checkpoint ∘ crash ∘ recover ≡ no-crash   *)
@@ -654,10 +749,15 @@ let suite =
         value_token_roundtrip;
         trace_line_roundtrip;
         journal_line_roundtrip;
+        hex_codec_reference;
+        tc "hex decoders reject non-hex digits" hex_decoder_rejects;
+        tc "crc32 check vectors" crc32_vectors;
         tc "snapshot text round-trip" snapshot_text_roundtrip;
         tc "snapshot restore digest" snapshot_restore_digest;
         tc "restored records share specs" snapshot_restore_shares_specs;
         tc "reserved EC field ignored" snapshot_reserved_ec_field;
+        tc "golden snapshot text" snapshot_golden_text;
+        tc "golden snapshot restores to the same bytes" snapshot_golden_restore;
         convergence_prop;
         tc "convergence at fixed cuts" convergence_fixed;
         snapshot_fuzz;
