@@ -40,8 +40,7 @@ let replay ~telemetry ~horizon trace =
       Some (metrics, flight)
     end
   in
-  ignore (Vids.Trace.schedule_into sched engine trace);
-  Dsim.Scheduler.run_until sched horizon;
+  ignore (Vids.Trace.replay_on ~until:horizon sched engine trace);
   (engine, obs)
 
 let () =

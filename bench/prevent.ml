@@ -140,12 +140,9 @@ let offline_replay ~records ~until =
   let sched = Dsim.Scheduler.create () in
   let engine = Vids.Engine.create sched in
   let e = Enforce.Enforcer.create ~policy sched engine in
-  let n =
-    Vids.Trace.schedule_into ~inject:(fun p -> ignore (Enforce.Enforcer.ingest e p)) sched
-      engine records
-  in
-  ignore n;
-  Dsim.Scheduler.run_until sched until;
+  ignore
+    (Vids.Trace.replay_on ~deliver:(fun p -> ignore (Enforce.Enforcer.ingest e p)) ~until sched
+       engine records);
   (engine, e)
 
 let phase_a ~records ~path ~n_flood =
@@ -225,7 +222,7 @@ type kill_result = {
 
 let phase_b ~records ~path ~(clean : contain_result) =
   let snap = tmp ".ck" in
-  let capture = tmp ".trace" in
+  let capture = tmp ".pcap" in
   let config =
     {
       Ingest.Daemon.default with
@@ -263,8 +260,12 @@ let phase_b ~records ~path ~(clean : contain_result) =
   let result =
     match
       Bench_common.timed (fun () ->
+          (* The daemon's pcap tee, read back with its own timestamps. *)
+          let trace =
+            match Ingest.Pcap.read_file capture with Ok (rs, _) -> rs | Error _ -> []
+          in
           Enforce.Recover.recover_files ~policy ~journal_path:(snap ^ ".journal")
-            ~trace_path:capture ~until:killed.Ingest.Daemon.horizon ~snapshot_path:snap ())
+            ~trace ~until:killed.Ingest.Daemon.horizon ~snapshot_path:snap ())
     with
     | Error e, _ ->
         Printf.eprintf "FAIL: recovery: %s\n" e;

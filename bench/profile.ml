@@ -23,10 +23,8 @@
    best-of-3 timing (the CI smoke preset); the default is 2000 calls,
    best-of-5. *)
 
-(* One replay over a private clock.  Event scheduling ([schedule_into])
-   allocates the whole timeline up front, so it stays outside the timed
-   window: both modes time only the drive phase the profiler actually
-   instruments. *)
+(* One replay over a private clock: both modes time the streaming replay
+   loop ([Vids.Trace.replay_on]) that the daemon and [analyze] run. *)
 let replay ~profiled ~horizon trace =
   let sched = Dsim.Scheduler.create () in
   let engine = Vids.Engine.create sched in
@@ -38,11 +36,10 @@ let replay ~profiled ~horizon trace =
       Some p
     end
   in
-  ignore (Vids.Trace.schedule_into sched engine trace);
   let drive_s =
     Bench_common.time (fun () ->
         (match prof with Some p -> Obs.Prof.enter p Obs.Prof.Drive | None -> ());
-        Dsim.Scheduler.run_until sched horizon;
+        ignore (Vids.Trace.replay_on ~until:horizon sched engine trace);
         match prof with Some p -> Obs.Prof.exit p Obs.Prof.Drive | None -> ())
   in
   (engine, prof, drive_s)

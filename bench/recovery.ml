@@ -110,7 +110,7 @@ type cost = {
 let checkpoint_cost ~calls =
   let trace = make_trace ~calls in
   let horizon = ms (float_of_int ((50 * calls) + 700)) in
-  let sched, engine = Vids.Trace.replay_until ~until:horizon trace in
+  let sched, engine = Vids.Trace.replay ~until:horizon trace in
   let at = Dsim.Scheduler.now sched in
   let text, capture_s =
     Bench_common.timed (fun () ->
@@ -148,9 +148,9 @@ type recovery_run = {
 }
 
 let recovery_run ~label ~config ~trace ~horizon ~cut =
-  let _, straight = Vids.Trace.replay_until ?config ~until:horizon trace in
+  let _, straight = Vids.Trace.replay ?config ~until:horizon trace in
   let reference = Vids.Snapshot.digest ~at:horizon straight in
-  let sched, engine = Vids.Trace.replay_until ?config ~until:cut trace in
+  let sched, engine = Vids.Trace.replay ?config ~until:cut trace in
   let snap = Vids.Snapshot.capture ~seq:1 ~at:(Dsim.Scheduler.now sched) engine in
   let snap =
     match Vids.Snapshot.of_string (Vids.Snapshot.to_string snap) with

@@ -194,7 +194,7 @@ let phase_a ~records ~path =
         run_daemon ~config ~on_batch [ Ingest.Daemon.Pcap_file { path; pace = false } ])
   in
   let horizon = report.Ingest.Daemon.horizon in
-  let _sched, offline = Vids.Trace.replay_until ~config:ceiling ~until:horizon records in
+  let _sched, offline = Vids.Trace.replay ~config:ceiling ~until:horizon records in
   let digest_match =
     String.equal
       (Vids.Snapshot.digest ~at:horizon offline)
@@ -218,7 +218,7 @@ type kill_result = {
 
 let phase_b ~records ~path ~(clean : Ingest.Daemon.report) =
   let snap = tmp ".ck" in
-  let capture = tmp ".trace" in
+  let capture = tmp ".pcap" in
   let config =
     {
       base_config with
@@ -246,8 +246,12 @@ let phase_b ~records ~path ~(clean : Ingest.Daemon.report) =
   let result =
     match
       Bench_common.timed (fun () ->
+          (* The daemon's pcap tee, read back with its own timestamps. *)
+          let trace =
+            match Ingest.Pcap.read_file capture with Ok (rs, _) -> rs | Error _ -> []
+          in
           Vids.Recovery.recover_files ~config:ceiling ~journal_path:(snap ^ ".journal")
-            ~trace_path:capture ~until:killed.Ingest.Daemon.horizon ~snapshot_path:snap ())
+            ~trace ~until:killed.Ingest.Daemon.horizon ~snapshot_path:snap ())
     with
     | Error e, _ ->
         Printf.eprintf "FAIL: recovery: %s\n" e;

@@ -6,7 +6,9 @@
      detect     run attack scenarios and print the alert log
      run        live-ingestion daemon over pcap files and/or a UDP socket
      profile    per-stage wall-time/allocation breakdown on a canned workload
-     recover    rebuild a crashed engine from checkpoint + journal + trace
+     record     capture sensor traffic to a libpcap file
+     analyze    replay a capture through vIDS offline
+     recover    rebuild a crashed engine from checkpoint + journal + capture
      rules      print the enforcement rules stored in a checkpoint
      parse      parse a SIP message from a file and dump its structure
      export-fsm print the Graphviz rendering of a protocol/attack machine *)
@@ -75,12 +77,10 @@ type obs_opts = {
   trace_ring : int;
 }
 
-let telemetry_wanted o = o.metrics_out <> None || o.trace_out <> None
-
 (* Build the registry + flight recorder pair and wire quarantine dumps to
    the trace file as they happen; the caller attaches them to an engine. *)
 let make_obs o =
-  if not (telemetry_wanted o) then None
+  if o.metrics_out = None && o.trace_out = None then None
   else begin
     let metrics = Obs.Metrics.create () in
     let flight = Obs.Trace.create ~capacity:o.trace_ring () in
@@ -226,60 +226,44 @@ let apply_governance g config =
   |> opt g.degrade_high_water (fun c v -> { c with Vids.Config.degrade_high_water = v })
   |> opt g.degrade_low_water (fun c v -> { c with Vids.Config.degrade_low_water = v })
 
-(* Periodic checkpointing shared by [simulate], [detect] and [analyze]:
-   every interval, snapshot the engine to --checkpoint-file (rotating the
-   previous file to FILE.1) and append a marker to the write-ahead journal
-   at FILE.journal, which also receives every alert and eviction as it
-   happens.  [vids-cli recover] consumes all three files. *)
+(* Periodic checkpointing for [simulate], [detect] and [analyze]: every
+   interval, [Vids.Checkpointer] snapshots the engine to --checkpoint-file
+   (rotating the previous file to FILE.1) and appends a marker to the
+   write-ahead journal at FILE.journal, which also receives every alert,
+   eviction and enforcement decision as it happens.  [vids-cli recover]
+   consumes all three files.  The journal is opened first so an
+   enforcement gate can be created on it; [start_checkpoints] then arms
+   the checkpoints. *)
 type checkpointing = { interval : float; file : string }
 
-let start_checkpointing ?obs ck sched engine ~horizon =
+let open_journal ?obs ck engine =
   if ck.interval <= 0.0 then None
   else begin
-    let registry = Option.map fst obs in
-    let flight = Option.map snd obs in
-    let ck_hist =
-      Option.map
-        (fun m ->
-          Obs.Metrics.histogram m "vids_checkpoint_seconds"
-            ~help:"Wall-clock duration of one checkpoint (capture + save + journal marker)")
-        registry
-    in
-    let journal_path = ck.file ^ ".journal" in
-    let writer = Vids.Journal.create_writer ?registry journal_path in
-    Vids.Journal.attach writer engine;
-    let seq = ref 0 in
-    let period = sec ck.interval in
-    let rec arm at =
-      if Dsim.Time.( < ) at horizon then
-        ignore
-          (Dsim.Scheduler.schedule_at sched at (fun () ->
-               incr seq;
-               let now = Dsim.Scheduler.now sched in
-               let t0 = match ck_hist with None -> 0.0 | Some _ -> Unix.gettimeofday () in
-               Vids.Snapshot.save ~path:ck.file
-                 (Vids.Snapshot.capture ~seq:!seq ~at:now engine);
-               Vids.Journal.append writer (Vids.Journal.Checkpoint { at = now; seq = !seq });
-               Option.iter
-                 (fun h -> Obs.Metrics.observe h (Unix.gettimeofday () -. t0))
-                 ck_hist;
-               Option.iter
-                 (fun fl ->
-                   Obs.Trace.record fl ~at:now (Obs.Trace.Checkpoint { seq = !seq }))
-                 flight;
-               arm (Dsim.Time.add at period)))
-    in
-    arm period;
-    Some (writer, ck.file, journal_path)
+    let w = Vids.Journal.create_writer ?registry:(Option.map fst obs) (ck.file ^ ".journal") in
+    Vids.Journal.attach w engine;
+    Some w
   end
 
-let finish_checkpointing = function
-  | None -> ()
-  | Some (writer, snapshot_path, journal_path) ->
-      Vids.Journal.close_writer writer;
+let start_checkpoints ?obs ?prof ?enforcer ck journal sched engine ~horizon =
+  Option.iter
+    (fun journal ->
+      let c =
+        Vids.Checkpointer.create ?registry:(Option.map fst obs) ?flight:(Option.map snd obs)
+          ?prof ~journal
+          ?ext:(Option.map (fun e () -> Enforce.Enforcer.snapshot_ext e) enforcer)
+          ~path:ck.file sched engine
+      in
+      Vids.Checkpointer.every c ~period:(sec ck.interval) ~until:horizon)
+    journal
+
+let finish_checkpoints ck journal =
+  Option.iter
+    (fun w ->
+      Vids.Journal.close_writer w;
       (* stderr, like the telemetry export announcements, so --json keeps
          stdout machine-parseable. *)
-      Format.eprintf "checkpoints: %s (journal %s)@." snapshot_path journal_path
+      Format.eprintf "checkpoints: %s (journal %s.journal)@." ck.file ck.file)
+    journal
 
 (* --spec FILE: load [.vspec] machine overrides under [config].  Front-end
    diagnostics are rendered (with caret snippets) to stderr; [Error]
@@ -325,10 +309,12 @@ let simulate seed n_ua mode_str minutes mean_gap mean_talk governance checkpoint
       let obs_state =
         match tb.T.engine with Some engine -> start_obs obs engine | None -> None
       in
-      let ck =
+      let journal =
         match tb.T.engine with
         | Some engine ->
-            start_checkpointing ?obs:obs_state checkpointing tb.T.sched engine ~horizon
+            let journal = open_journal ?obs:obs_state checkpointing engine in
+            start_checkpoints ?obs:obs_state checkpointing journal tb.T.sched engine ~horizon;
+            journal
         | None -> None
       in
       let profile =
@@ -339,7 +325,7 @@ let simulate seed n_ua mode_str minutes mean_gap mean_talk governance checkpoint
         }
       in
       T.run_workload tb ~profile ~duration:horizon ();
-      finish_checkpointing ck;
+      finish_checkpoints checkpointing journal;
       let m = tb.T.metrics in
       Format.printf "workload: %d calls attempted, %d established, %d completed, %d failed@."
         (Voip.Metrics.attempted m) (Voip.Metrics.established m) (Voip.Metrics.completed m)
@@ -387,13 +373,18 @@ let detect seed attacks governance checkpointing obs enforce_policy profile json
   let obs_state = start_obs obs engine in
   let prof = start_prof profile obs_state in
   Vids.Engine.set_profiler engine prof;
-  let ck = start_checkpointing ?obs:obs_state checkpointing tb.T.sched engine ~horizon in
+  let journal = open_journal ?obs:obs_state checkpointing engine in
   (* Prevention mode: re-point the sensor tap at the enforcement gate so
-     blocked packets never reach the engine. *)
+     blocked packets never reach the engine.  Its decisions are journaled
+     and its table rides in every checkpoint, as in the daemon. *)
   let enforcer =
     Option.map
       (fun policy ->
-        let e = Enforce.Enforcer.create ~policy tb.T.sched engine in
+        let e =
+          Enforce.Enforcer.create ~policy
+            ?journal:(Option.map Vids.Journal.append journal)
+            tb.T.sched engine
+        in
         Dsim.Network.set_tap tb.T.vids_node
           (Some
              (fun pkt ->
@@ -406,6 +397,8 @@ let detect seed attacks governance checkpointing obs enforce_policy profile json
         e)
       enforce_policy
   in
+  start_checkpoints ?obs:obs_state ?prof ?enforcer checkpointing journal tb.T.sched engine
+    ~horizon;
   let atk = Attack.Scenarios.create tb ~host:"203.0.113.66" in
   let unknown = ref [] in
   schedule_attacks atk tb ~on_unknown:(fun name -> unknown := name :: !unknown) attacks;
@@ -423,7 +416,7 @@ let detect seed attacks governance checkpointing obs enforce_policy profile json
       T.run_until tb horizon;
       Option.iter (fun p -> Obs.Prof.exit p Obs.Prof.Drive) prof;
       let total_s = Unix.gettimeofday () -. t0 in
-      finish_checkpointing ck;
+      finish_checkpoints checkpointing journal;
       let c = Vids.Engine.counters engine in
       let records =
         c.Vids.Engine.sip_packets + c.Vids.Engine.rtp_packets + c.Vids.Engine.rtcp_packets
@@ -459,7 +452,7 @@ let detect seed attacks governance checkpointing obs enforce_policy profile json
       exit_for_alerts (Vids.Engine.alerts engine))
 
 (* ------------------------------------------------------------------ *)
-(* record / analyze: offline trace workflow                            *)
+(* record / analyze: offline capture workflow                          *)
 (* ------------------------------------------------------------------ *)
 
 let record seed attacks workload no_attacks path =
@@ -493,16 +486,8 @@ let record seed attacks workload no_attacks path =
   end
   else T.run_until tb horizon;
   let records = Vids.Trace.records recorder in
-  if Filename.check_suffix path ".pcap" then begin
-    Ingest.Pcap.write_file path records;
-    Format.printf "wrote %d packets to %s (pcap)@." (List.length records) path
-  end
-  else begin
-    let oc = open_out path in
-    Vids.Trace.save oc records;
-    close_out oc;
-    Format.printf "wrote %d packets to %s@." (List.length records) path
-  end;
+  Ingest.Pcap.write_file path records;
+  Format.printf "wrote %d packets to %s (pcap)@." (List.length records) path;
   0
 
 (* ------------------------------------------------------------------ *)
@@ -701,55 +686,66 @@ let daemon captures pace listen queue_cap max_runtime governance checkpointing o
             | _ -> exit_for_alerts (Vids.Engine.alerts report.Ingest.Daemon.engine))
       end)
 
+(* A capture for [analyze] and [recover], with absolute timestamps (no
+   rebase: a daemon's --record tee already holds the virtual times it
+   dispatched at).  Frames the reader skipped, and whether the file ends
+   inside a frame (a tee torn by a crash), come back beside the records. *)
+let load_capture path =
+  match open_in_bin path with
+  | exception Sys_error e -> Error e
+  | ic ->
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+      match Ingest.Pcap.of_channel ic with
+      | Error e -> Error (path ^ ": " ^ e)
+      | Ok reader ->
+          let stats () = Ingest.Pcap.stats reader in
+          let rec go acc skipped =
+            match Ingest.Pcap.next reader with
+            | None -> (List.rev acc, List.rev skipped)
+            | Some (Ingest.Pcap.Record r) -> go (r :: acc) skipped
+            | Some (Ingest.Pcap.Skipped why) ->
+                go acc (((stats ()).Ingest.Pcap.frames, why) :: skipped)
+          in
+          let records, skipped = go [] [] in
+          Ok (records, skipped, (stats ()).Ingest.Pcap.truncated_tail)
+
+let print_capture_faults ppf path skipped torn =
+  List.iter (fun (frame, why) -> Format.fprintf ppf "  %s frame %d skipped: %s@." path frame why)
+    skipped;
+  if torn then Format.fprintf ppf "  %s: truncated tail (a frame torn mid-write dropped)@." path
+
 let analyze path checkpointing obs profile json specs =
   let overrides =
     match load_spec_overrides Vids.Config.default specs with
     | Ok o -> o
     | Error () -> exit 1
   in
-  let ic = open_in path in
-  let loaded = Vids.Trace.load ic in
-  close_in ic;
-  match loaded with
+  match load_capture path with
   | Error e ->
-      Format.eprintf "trace error: %s@." e;
+      Format.eprintf "capture error: %s@." e;
       1
-  | Ok records ->
+  | Ok (records, skipped, torn) ->
+      print_capture_faults Format.err_formatter path skipped torn;
       if not json then Format.printf "replaying %d packets...@." (List.length records);
-      let plain =
-        checkpointing.interval <= 0.0 && not (telemetry_wanted obs) && not profile
-        && overrides = []
+      let sched = Dsim.Scheduler.create () in
+      let engine = Vids.Engine.create ~overrides sched in
+      let obs_state = start_obs obs engine in
+      let prof = start_prof profile obs_state in
+      Vids.Engine.set_profiler engine prof;
+      let last =
+        List.fold_left (fun acc r -> Dsim.Time.max acc r.Vids.Trace.at) Dsim.Time.zero records
       in
-      let engine, obs_state, prof, total_s =
-        if plain then (Vids.Trace.replay records, None, None, 0.0)
-        else begin
-          (* Build the replay by hand so checkpoints, telemetry and the
-             profiler ride the same clock. *)
-          let sched = Dsim.Scheduler.create () in
-          let engine = Vids.Engine.create ~overrides sched in
-          let obs_state = start_obs obs engine in
-          let prof = start_prof profile obs_state in
-          Vids.Engine.set_profiler engine prof;
-          let last =
-            List.fold_left (fun acc r -> Dsim.Time.max acc r.Vids.Trace.at) Dsim.Time.zero
-              records
-          in
-          let horizon = Dsim.Time.add last (sec 60.0) in
-          (* Packets first: at equal instants a packet must beat a
-             checkpoint, so a record at exactly the checkpoint time is
-             inside the snapshot rather than lost (recovery replays only
-             strictly-later records). *)
-          ignore (Vids.Trace.schedule_into sched engine records);
-          let ck = start_checkpointing ?obs:obs_state checkpointing sched engine ~horizon in
-          let t0 = Unix.gettimeofday () in
-          Option.iter (fun p -> Obs.Prof.enter p Obs.Prof.Drive) prof;
-          Dsim.Scheduler.run_until sched horizon;
-          Option.iter (fun p -> Obs.Prof.exit p Obs.Prof.Drive) prof;
-          let total_s = Unix.gettimeofday () -. t0 in
-          finish_checkpointing ck;
-          (engine, obs_state, prof, total_s)
-        end
-      in
+      let horizon = Dsim.Time.add last (sec 60.0) in
+      let journal = open_journal ?obs:obs_state checkpointing engine in
+      (* A checkpoint due at a record's instant runs after that record, so
+         the snapshot holds it (recovery replays only later records). *)
+      start_checkpoints ?obs:obs_state ?prof checkpointing journal sched engine ~horizon;
+      let t0 = Unix.gettimeofday () in
+      Option.iter (fun p -> Obs.Prof.enter p Obs.Prof.Drive) prof;
+      ignore (Vids.Trace.replay_on ~until:horizon sched engine records);
+      Option.iter (fun p -> Obs.Prof.exit p Obs.Prof.Drive) prof;
+      let total_s = Unix.gettimeofday () -. t0 in
+      finish_checkpoints checkpointing journal;
       if json then
         print_endline
           (match finish_prof ~records:(List.length records) ~total_s ~json:true prof with
@@ -798,11 +794,7 @@ let profile_workload seed minutes attacks json obs =
         }
       in
       T.run_workload tb ~profile:gen ~duration:horizon ();
-      let records =
-        List.stable_sort
-          (fun (a : Vids.Trace.record) b -> Dsim.Time.compare a.Vids.Trace.at b.Vids.Trace.at)
-          (Vids.Trace.records recorder)
-      in
+      let records = Vids.Trace.records recorder in
       let sched = Dsim.Scheduler.create () in
       let engine = Vids.Engine.create sched in
       let obs_state = start_obs obs engine in
@@ -812,54 +804,43 @@ let profile_workload seed minutes attacks json obs =
           ?flight:(Option.map snd obs_state) ()
       in
       Vids.Engine.set_profiler engine (Some prof);
-      let enforcer =
-        Enforce.Enforcer.create ~policy:Enforce.Enforcer.default_policy sched engine
-      in
       let ck_file = Filename.temp_file "vids-profile" ".checkpoint" in
       let journal_path = ck_file ^ ".journal" in
-      let writer = Vids.Journal.create_writer ~registry:(Obs.Prof.registry prof) journal_path in
-      Vids.Journal.attach writer engine;
-      let alloc = Dsim.Packet.allocator () in
-      let seq = ref 0 in
-      let period = sec 15.0 in
-      let next_ck = ref period in
-      let checkpoint_now () =
-        incr seq;
-        Obs.Prof.enter prof Obs.Prof.Checkpoint;
-        let now = Dsim.Scheduler.now sched in
-        Vids.Snapshot.save ~path:ck_file (Vids.Snapshot.capture ~seq:!seq ~at:now engine);
-        Vids.Journal.append writer (Vids.Journal.Checkpoint { at = now; seq = !seq });
-        Obs.Prof.enter prof Obs.Prof.Journal_fsync;
-        Vids.Journal.fsync_writer writer;
-        Obs.Prof.exit prof Obs.Prof.Journal_fsync;
-        Obs.Prof.exit prof Obs.Prof.Checkpoint
+      let registry = Obs.Prof.registry prof in
+      let journal = Vids.Journal.create_writer ~registry journal_path in
+      Vids.Journal.attach journal engine;
+      let enforcer =
+        Enforce.Enforcer.create ~policy:Enforce.Enforcer.default_policy
+          ~journal:(Vids.Journal.append journal) sched engine
       in
+      let checkpointer =
+        Vids.Checkpointer.create ~registry ~prof ~journal
+          ~ext:(fun () -> Enforce.Enforcer.snapshot_ext enforcer)
+          ~path:ck_file sched engine
+      in
+      Vids.Checkpointer.every checkpointer ~period:(sec 15.0);
+      let gate pkt =
+        Obs.Prof.enter prof Obs.Prof.Enforce_gate;
+        ignore (Enforce.Enforcer.ingest enforcer pkt);
+        Obs.Prof.exit prof Obs.Prof.Enforce_gate
+      in
+      (* Each record under its own Drive span, as the daemon dispatches
+         it; then a minute of detector windows and grace timers and the
+         final checkpoint under one more. *)
+      let feed = Vids.Trace.stream ~deliver:gate sched engine in
       let t0 = Unix.gettimeofday () in
       List.iter
-        (fun (r : Vids.Trace.record) ->
+        (fun r ->
           Obs.Prof.enter prof Obs.Prof.Drive;
-          Dsim.Scheduler.advance_to sched r.Vids.Trace.at;
-          if Dsim.Time.compare r.Vids.Trace.at !next_ck >= 0 then begin
-            checkpoint_now ();
-            next_ck := Dsim.Time.add !next_ck period
-          end;
-          let pkt =
-            Dsim.Packet.make alloc ~src:r.Vids.Trace.src ~dst:r.Vids.Trace.dst
-              ~sent_at:r.Vids.Trace.at r.Vids.Trace.payload
-          in
-          Obs.Prof.enter prof Obs.Prof.Enforce_gate;
-          ignore (Enforce.Enforcer.ingest enforcer pkt);
-          Obs.Prof.exit prof Obs.Prof.Enforce_gate;
+          feed r;
           Obs.Prof.exit prof Obs.Prof.Drive)
         records;
-      (* Close detector windows and grace timers under the same
-         accounting, then take the final checkpoint. *)
       Obs.Prof.enter prof Obs.Prof.Drive;
       Dsim.Scheduler.run_until sched (Dsim.Time.add horizon (sec 60.0));
-      checkpoint_now ();
+      Vids.Checkpointer.take checkpointer;
       Obs.Prof.exit prof Obs.Prof.Drive;
       let total_s = Unix.gettimeofday () -. t0 in
-      Vids.Journal.close_writer writer;
+      Vids.Journal.close_writer journal;
       Obs.Prof.sample_gc prof;
       let n = List.length records in
       let report = Obs.Prof.report_of_snapshot (Obs.Metrics.snapshot (Obs.Prof.registry prof)) in
@@ -892,11 +873,23 @@ let profile_workload seed minutes attacks json obs =
       0
 
 (* ------------------------------------------------------------------ *)
-(* recover: crash recovery from checkpoint + journal + trace           *)
+(* recover: crash recovery from checkpoint + journal + capture         *)
 (* ------------------------------------------------------------------ *)
 
 let recover snapshot_path journal_path trace_path until obs enforce_policy =
   let until = Option.map sec until in
+  (* A capture that cannot be read at all (missing, or torn inside its
+     global header) replays nothing; recovery still restores the
+     checkpoint and the journal. *)
+  let trace, capture_faults =
+    match trace_path with
+    | None -> (None, ignore)
+    | Some path -> (
+        match load_capture path with
+        | Ok (records, skipped, torn) ->
+            (Some records, fun ppf -> print_capture_faults ppf path skipped torn)
+        | Error e -> (None, fun ppf -> Format.fprintf ppf "  capture unreadable: %s@." e))
+  in
   let obs_state = make_obs obs in
   let prepare =
     Option.map
@@ -914,13 +907,11 @@ let recover snapshot_path journal_path trace_path until obs enforce_policy =
            that never crashed. *)
         Result.map
           (fun (fr, e) -> (fr, Some e))
-          (Enforce.Recover.recover_files ~policy ?journal_path ?trace_path ?until
-             ~snapshot_path ())
+          (Enforce.Recover.recover_files ~policy ?journal_path ?trace ?until ~snapshot_path ())
     | None ->
         Result.map
           (fun fr -> (fr, None))
-          (Vids.Recovery.recover_files ?prepare ?journal_path ?trace_path ?until
-             ~snapshot_path ())
+          (Vids.Recovery.recover_files ?prepare ?journal_path ?trace ?until ~snapshot_path ())
   in
   match recovered with
   | Error e ->
@@ -937,7 +928,7 @@ let recover snapshot_path journal_path trace_path until obs enforce_policy =
           Obs.Metrics.observe h (Unix.gettimeofday () -. t0);
           let replayed =
             Obs.Metrics.counter metrics "vids_recovery_replayed_total"
-              ~help:"Trace records replayed after the restored checkpoint"
+              ~help:"Capture records replayed after the restored checkpoint"
           in
           Obs.Metrics.add replayed o.Vids.Recovery.replayed)
         obs_state;
@@ -953,9 +944,7 @@ let recover snapshot_path journal_path trace_path until obs enforce_policy =
       List.iter
         (fun (line, reason) -> Format.printf "  journal line %d skipped: %s@." line reason)
         fr.Vids.Recovery.journal_skipped;
-      List.iter
-        (fun (line, reason) -> Format.printf "  trace line %d skipped: %s@." line reason)
-        fr.Vids.Recovery.trace_skipped;
+      capture_faults Format.std_formatter;
       Format.printf "replayed %d packet(s) recorded after the checkpoint@.@."
         o.Vids.Recovery.replayed;
       Option.iter
@@ -1237,8 +1226,8 @@ let obs_term =
       value & opt (some string) None
       & info [ "trace-out" ] ~docv:"FILE"
           ~doc:
-            "Append flight-recorder dumps (machine quarantines, supervisor restarts, end of \
-             run) to $(docv) as JSONL.  Enables telemetry.")
+            "Append flight-recorder dumps (machine quarantines, end of run) to $(docv) as \
+             JSONL.  Enables telemetry.")
   in
   let trace_ring =
     Arg.(
@@ -1359,12 +1348,11 @@ let record_cmd =
   in
   let out =
     Arg.(
-      value & opt string "vids.trace"
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Trace file; a $(b,.pcap) suffix writes a libpcap capture instead of text.")
+      value & opt string "vids.pcap"
+      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Capture file (libpcap).")
   in
   Cmd.v
-    (Cmd.info "record" ~doc:"Capture sensor traffic (with attacks) to a trace file")
+    (Cmd.info "record" ~doc:"Capture sensor traffic (with attacks) to a libpcap file")
     Term.(const record $ seed_arg $ attacks $ workload $ no_attacks $ out)
 
 let run_cmd =
@@ -1402,7 +1390,7 @@ let run_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "record" ] ~docv:"FILE"
-          ~doc:"Capture every dispatched packet to $(docv) (text trace), for offline replay \
+          ~doc:"Capture every dispatched packet to $(docv) (libpcap), for offline replay \
                 and crash recovery.")
   in
   Cmd.v
@@ -1417,9 +1405,9 @@ let run_cmd =
       $ spec_term)
 
 let analyze_cmd =
-  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE") in
+  let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"CAPTURE") in
   Cmd.v
-    (Cmd.info "analyze" ~doc:"Replay a recorded trace through vIDS offline")
+    (Cmd.info "analyze" ~doc:"Replay a recorded libpcap capture through vIDS offline")
     Term.(
       const analyze $ file $ checkpoint_term $ obs_term $ profile_flag $ json_flag
       $ spec_term)
@@ -1463,7 +1451,9 @@ let recover_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Recorded packet trace; records after the checkpoint are replayed.")
+          ~doc:
+            "Recorded libpcap capture (e.g. the daemon's $(b,--record) file); records after \
+             the checkpoint are replayed.")
   in
   let until =
     Arg.(
@@ -1473,7 +1463,7 @@ let recover_cmd =
   in
   Cmd.v
     (Cmd.info "recover"
-       ~doc:"Rebuild a crashed engine from checkpoint + journal + trace and print its report")
+       ~doc:"Rebuild a crashed engine from checkpoint + journal + capture and print its report")
     Term.(
       const recover $ snapshot $ journal $ trace $ until $ obs_term $ enforce_term)
 

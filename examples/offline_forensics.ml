@@ -1,4 +1,4 @@
-(* Offline forensics: capture the traffic crossing the sensor to a trace
+(* Offline forensics: capture the traffic crossing the sensor to a libpcap
    file (vIDS disabled — a plain packet recorder, as one would run tcpdump
    at the tap), then replay the file through the full analysis pipeline
    afterwards.  Timer-based patterns work identically offline because
@@ -26,17 +26,13 @@ let () =
   T.run_until tb (sec 60.0);
 
   let records = Vids.Trace.records recorder in
-  let path = Filename.temp_file "vids-forensics" ".trace" in
-  let oc = open_out path in
-  Vids.Trace.save oc records;
-  close_out oc;
+  let path = Filename.temp_file "vids-forensics" ".pcap" in
+  Ingest.Pcap.write_file path records;
   Format.printf "recorded %d packets to %s@." (List.length records) path;
 
   (* 2. Analyze: load the file back and run the engine over it. *)
-  let ic = open_in path in
-  let loaded = Result.get_ok (Vids.Trace.load ic) in
-  close_in ic;
+  let loaded, _skipped = Result.get_ok (Ingest.Pcap.read_file path) in
   Format.printf "@.replaying offline...@.@.";
-  let engine = Vids.Trace.replay loaded in
+  let _sched, engine = Vids.Trace.replay loaded in
   Vids.Report.full Format.std_formatter engine;
   Sys.remove path

@@ -1,16 +1,17 @@
-(* Deterministic recovery: snapshot + journal suffix + trace replay.
+(* Deterministic recovery: snapshot + journal suffix + capture replay.
 
    The convergence contract (proved by the property tests and measured by
    bench/recovery): restoring the latest valid snapshot, merging journal
-   entries recorded after its checkpoint marker, and replaying the trace
+   entries recorded after its checkpoint marker, and replaying the capture
    records timestamped strictly after it yields an engine whose canonical
    digest equals that of a run that never crashed.
 
-   Ordering is the delicate part.  Journal alerts are merged first (their
-   dedup keys go pending, so replay re-raising them stays exactly-once),
-   then the replay suffix is scheduled, and only then are restored timers
-   re-armed — packets scheduled before timers win same-instant ties, just
-   as in an uninterrupted run where every packet is scheduled up front. *)
+   Ordering is the delicate part.  Journal alerts are merged and journaled
+   extension records applied first (their dedup keys go pending, so replay
+   re-raising them stays exactly-once), then restored timers are re-armed,
+   and only then is the suffix streamed through [Trace.stream] — the same
+   step the live sensor runs, so packets win same-instant ties with every
+   timer, restored or re-armed, just as live. *)
 
 type outcome = {
   engine : Engine.t;
@@ -39,32 +40,26 @@ let recover ?config ?prepare ?on_ext ?inject ?(journal = []) ?(trace = []) ?unti
   let packets =
     List.filter (fun (r : Trace.record) -> Dsim.Time.( > ) r.Trace.at snapshot_at) trace
   in
-  let replayed = ref 0 in
   let before_timers sched engine =
     (* Caller hook first, before any packet or journal entry lands: an
        enforcement layer uses it to rebuild its state from the snapshot's
        extension records; telemetry export attaches its registry. *)
     (match prepare with None -> () | Some f -> f sched engine);
     List.iter (Engine.merge_journal_alert engine) alerts;
-    replayed := Trace.schedule_into ?inject sched engine packets;
     (* Journaled extension records recorded after the checkpoint, in
        append order: replayed alerts are claimed (exactly-once) and never
        re-notify listeners, so actions taken on them live must be restored
-       from the journal, not re-derived.  Applied after the replay suffix
-       is scheduled: an extension that re-arms a timer (e.g. a journaled
-       call teardown) must lose same-instant ties to packets, exactly as
-       live, where the packet that triggered the action was already
-       executing when the timer was armed. *)
-    (match on_ext with
+       from the journal, not re-derived.  A hook that re-arms a timer
+       still loses same-instant ties to replayed packets, because the
+       suffix is streamed. *)
+    match on_ext with
     | None -> ()
-    | Some f -> List.iter (fun (at, tag, payload) -> f ~at ~tag ~payload) exts)
+    | Some f -> List.iter (fun (at, tag, payload) -> f ~at ~tag ~payload) exts
   in
   match Snapshot.restore ?config ~before_timers snapshot with
   | Error e -> Error e
   | Ok (sched, engine) ->
-      (match until with
-      | Some limit -> Dsim.Scheduler.run_until sched limit
-      | None -> Dsim.Scheduler.run sched);
+      let replayed = Trace.replay_on ?deliver:inject ?until sched engine packets in
       Ok
         {
           engine;
@@ -74,7 +69,7 @@ let recover ?config ?prepare ?on_ext ?inject ?(journal = []) ?(trace = []) ?unti
           journal_alerts = List.length alerts;
           journal_evictions = evictions;
           journal_exts = List.length exts;
-          replayed = !replayed;
+          replayed;
         }
 
 (* --------------------------------------------------------------- *)
@@ -87,7 +82,6 @@ type file_report = {
   used_fallback : bool;  (** True when the primary was rejected and [path.1] used. *)
   rejected : (string * string) list;  (** Snapshots rejected before one loaded, with reasons. *)
   journal_skipped : (int * string) list;
-  trace_skipped : (int * string) list;
 }
 
 let load_with_fallback path =
@@ -101,7 +95,7 @@ let load_with_fallback path =
         | Ok snap -> Ok (snap, fallback, true, [ (path, primary_err) ])
         | Error fallback_err -> Error [ (path, primary_err); (fallback, fallback_err) ])
 
-let recover_files ?config ?prepare ?on_snapshot ?on_ext ?inject ?journal_path ?trace_path ?until
+let recover_files ?config ?prepare ?on_snapshot ?on_ext ?inject ?journal_path ?trace ?until
     ~snapshot_path () =
   match load_with_fallback snapshot_path with
   | Error rejected ->
@@ -119,18 +113,7 @@ let recover_files ?config ?prepare ?on_snapshot ?on_ext ?inject ?journal_path ?t
             | Ok (entries, skipped) -> (entries, skipped)
             | Error _ -> ([], []))
       in
-      let trace, trace_skipped =
-        match trace_path with
-        | None -> ([], [])
-        | Some p -> (
-            match open_in_bin p with
-            | exception Sys_error _ -> ([], [])
-            | ic ->
-                let r = Trace.load_lenient ic in
-                close_in ic;
-                r)
-      in
-      match recover ?config ?prepare ?on_ext ?inject ~journal ~trace ?until snapshot with
+      match recover ?config ?prepare ?on_ext ?inject ~journal ?trace ?until snapshot with
       | Error e -> Error e
       | Ok outcome ->
           Ok
@@ -140,5 +123,4 @@ let recover_files ?config ?prepare ?on_snapshot ?on_ext ?inject ?journal_path ?t
               used_fallback;
               rejected;
               journal_skipped;
-              trace_skipped;
             })

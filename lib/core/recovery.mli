@@ -3,7 +3,8 @@
     Composes the crash-safety pieces: restore the latest valid
     {!Snapshot}, merge the {!Journal} suffix recorded after its checkpoint
     marker (exactly-once: replayed alerts claim their journaled twins), and
-    replay the {!Trace} records timestamped strictly after the snapshot.
+    stream the capture records timestamped strictly after the snapshot
+    through {!Trace.stream}, the step the live sensor runs.
     The recovered engine's {!Snapshot.digest} equals that of a run that
     never crashed — the convergence property the test suite checks. *)
 
@@ -15,7 +16,7 @@ type outcome = {
   journal_alerts : int;  (** Journal alerts merged ahead of replay. *)
   journal_evictions : int;  (** Journaled reclamations in the suffix (informational). *)
   journal_exts : int;  (** Extension records handed to [on_ext]. *)
-  replayed : int;  (** Trace records replayed after the snapshot instant. *)
+  replayed : int;  (** Capture records streamed after the snapshot instant. *)
 }
 
 val recover :
@@ -29,19 +30,20 @@ val recover :
   Snapshot.t ->
   (outcome, string) result
 (** Pure-data recovery.  [prepare] runs on the restored engine before the
-    journal merge, the replay scheduling and the timer re-arm — the hook an
-    enforcement layer uses to rebuild its tables from the snapshot's
-    extension records, and telemetry export uses to attach its registry.
-    [on_ext] receives every {!Journal.Ext} entry recorded after the
-    checkpoint, in append order, once the replay suffix is scheduled (so a hook that re-arms a timer loses same-instant
-    ties to packets, exactly as live): replayed alerts are claimed
-    exactly-once and never re-notify listeners, so decisions taken on
-    them live must be restored from the journal, not re-derived.
-    [inject] replaces packet delivery during replay (see
-    {!Trace.schedule_into}) so a gate that dropped packets live drops the
-    same packets again.  [until] bounds the clock ([run_until]); omit it to
-    drain the queue — but beware that configs with a periodic sweep re-arm
-    it forever, so bound governed runs. *)
+    journal merge and the timer re-arm — the hook an enforcement layer
+    uses to rebuild its tables from the snapshot's extension records, and
+    telemetry export uses to attach its registry.  [on_ext] receives every
+    {!Journal.Ext} entry recorded after the checkpoint, in append order,
+    right after the merge: replayed alerts are claimed exactly-once and
+    never re-notify listeners, so decisions taken on them live must be
+    restored from the journal, not re-derived.  The suffix is streamed
+    only after restored timers are re-armed, so a timer a hook arms loses
+    same-instant ties to packets, exactly as live.  [inject] replaces
+    packet delivery during replay (see {!Trace.stream}) so a gate that
+    dropped packets live drops the same packets again.  [until] bounds
+    the clock ([run_until]) and drops later records; omit it to drain the
+    queue — but beware that configs with a periodic sweep re-arm it
+    forever, so bound governed runs. *)
 
 type file_report = {
   outcome : outcome;
@@ -50,7 +52,6 @@ type file_report = {
   rejected : (string * string) list;
       (** Snapshots rejected before one loaded, with diagnostics. *)
   journal_skipped : (int * string) list;  (** Torn/corrupt journal lines skipped. *)
-  trace_skipped : (int * string) list;  (** Malformed trace lines skipped. *)
 }
 
 val recover_files :
@@ -60,15 +61,17 @@ val recover_files :
   ?on_ext:(at:Dsim.Time.t -> tag:string -> payload:string -> unit) ->
   ?inject:(Dsim.Packet.t -> unit) ->
   ?journal_path:string ->
-  ?trace_path:string ->
+  ?trace:Trace.record list ->
   ?until:Dsim.Time.t ->
   snapshot_path:string ->
   unit ->
   (file_report, string) result
 (** File-level recovery with fault tolerance end to end: a corrupted or
     truncated primary snapshot falls back to the rotated
-    [Snapshot.previous_path]; journal and trace files are loaded leniently
-    (missing files are treated as empty).  [on_snapshot] sees the loaded
-    snapshot (after fallback selection, before any restore) — the hook for
-    reading its {!Snapshot.ext} records.  [Error] only when no snapshot
-    at all can be validated. *)
+    [Snapshot.previous_path]; the journal is loaded leniently (a missing
+    file is treated as empty).  [trace] is the capture, already loaded:
+    reading it (pcap, with its skipped frames and torn tail) is the
+    caller's job, since this library does not see [Ingest].
+    [on_snapshot] sees the loaded snapshot (after fallback selection,
+    before any restore) — the hook for reading its {!Snapshot.ext}
+    records.  [Error] only when no snapshot at all can be validated. *)

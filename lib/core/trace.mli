@@ -1,11 +1,15 @@
-(** Packet trace capture and offline replay.
+(** Packet records, sensor-tap capture and the one replay loop.
 
     An online vIDS taps live traffic; this module gives it the pcap-style
-    workflow: record the packets crossing the sensor to a portable text
-    format, then re-run the full analysis pipeline over the file later.
-    Replay reconstructs virtual time from the recorded timestamps so every
-    timer-based pattern (flood windows, the BYE grace period T) behaves
-    exactly as it did live. *)
+    workflow: record the packets crossing the sensor (written to disk as
+    libpcap by [Ingest.Pcap]), then re-run the full analysis pipeline over
+    them later.  Replay reconstructs virtual time from the recorded
+    timestamps so every timer-based pattern (flood windows, the BYE grace
+    period T) behaves exactly as it did live.
+
+    Every consumer — the live daemon, [analyze], crash recovery, the
+    benches — drives the engine through {!stream}, so offline tools run
+    the same code the sensor runs. *)
 
 type record = {
   at : Dsim.Time.t;  (** Capture timestamp. *)
@@ -13,26 +17,6 @@ type record = {
   dst : Dsim.Addr.t;
   payload : string;  (** Raw wire bytes. *)
 }
-
-val record_of_packet : at:Dsim.Time.t -> Dsim.Packet.t -> record
-
-(** {1 Text serialization}
-
-    One record per line: [<at_us> <src> <dst> <hex payload>]. *)
-
-val record_to_line : record -> string
-
-val record_of_line : string -> (record, string) result
-
-val save : out_channel -> record list -> unit
-
-val load : in_channel -> (record list, string) result
-(** Stops at the first malformed line with its line number. *)
-
-val load_lenient : in_channel -> record list * (int * string) list
-(** Best-effort load for damaged captures (e.g. a file torn by a crash):
-    malformed lines are skipped and reported as [(line, reason)] instead of
-    aborting. *)
 
 (** {1 Capture} *)
 
@@ -48,25 +32,32 @@ val records : recorder -> record list
 
 (** {1 Replay} *)
 
-val schedule_into :
-  ?inject:(Dsim.Packet.t -> unit) -> Dsim.Scheduler.t -> Engine.t -> record list -> int
-(** Schedules every record as a packet-arrival event on an existing
-    scheduler/engine pair (without running), returning how many were
-    scheduled.  [inject] replaces the default delivery
-    ([Engine.process_packet]) — an enforcement layer passes its own gate so
-    a replay drops exactly the packets the live run dropped.  {!replay} is
-    built on this; {!Recovery} uses it to queue the post-checkpoint suffix
-    before restored timers are re-armed.  Records at times before the
-    scheduler's clock raise [Invalid_argument] — filter first. *)
+val stream : ?deliver:(Dsim.Packet.t -> unit) -> Dsim.Scheduler.t -> Engine.t -> record -> unit
+(** [stream sched engine] is the replay step; apply it once per run and
+    call the result on each record in time order.  Each call runs
+    [Dsim.Scheduler.advance_to] the record's timestamp — timers strictly
+    before it fire, timers due at that instant stay queued — and then
+    delivers the packet.  That is the one rule of replay: at an instant,
+    packets beat timers.  A record behind the clock is delivered at the
+    clock (time never moves backwards).  [deliver] replaces the default
+    [Engine.process_packet]; an enforcement layer passes its gate so a
+    replay drops exactly the packets the live run dropped. *)
 
-val replay : ?config:Config.t -> record list -> Engine.t
-(** Runs an engine over the trace under virtual time and returns it (with
-    its alerts, counters and fact base) for inspection.  Records need not
-    be sorted. *)
+val replay_on :
+  ?deliver:(Dsim.Packet.t -> unit) ->
+  ?until:Dsim.Time.t ->
+  Dsim.Scheduler.t ->
+  Engine.t ->
+  record list ->
+  int
+(** Streams [records] (sorted by time, stably; those after [until]
+    dropped) through {!stream}, then runs the clock: to [until] with
+    [run_until], or until the queue drains when [until] is omitted —
+    beware that configs whose periodic sweep re-arms itself never drain,
+    so bound governed runs.  Returns how many records were streamed. *)
 
-val replay_until :
-  ?config:Config.t -> until:Dsim.Time.t -> record list -> Dsim.Scheduler.t * Engine.t
-(** Like {!replay} but stops the clock at a fixed horizon instead of
-    draining the queue — required under configs whose periodic sweep
-    re-arms itself forever, and for digest comparison at a common instant
-    (see [Snapshot.digest]). *)
+val replay :
+  ?config:Config.t -> ?until:Dsim.Time.t -> record list -> Dsim.Scheduler.t * Engine.t
+(** {!replay_on} over a fresh scheduler and engine.  Records need not be
+    sorted.  Stop at a fixed [until] for digest comparison at a common
+    instant (see [Snapshot.digest]). *)

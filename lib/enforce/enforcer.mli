@@ -97,6 +97,10 @@ val snapshot_payload : t -> string
 (** The table serialized at the current virtual time; store it as the
     {!ext_tag} extension of the checkpoint ([Snapshot.capture ~ext]). *)
 
+val snapshot_ext : t -> (string * string) list
+(** [[(ext_tag, snapshot_payload t)]] — the [ext] a checkpoint of an
+    enforcing sensor carries (see [Vids.Checkpointer.create]). *)
+
 val restore : t -> payload:string -> (unit, string) result
 (** Replaces the table from a snapshot payload.  Under a [fail_closed]
     policy a corrupt payload locks the gate down (and still returns the

@@ -1,7 +1,7 @@
 (* Enforcement-aware recovery.  See recover.mli for the ordering
    contract each hook discharges. *)
 
-let recover_files ?config ?policy ?journal ?journal_path ?trace_path ?until ~snapshot_path () =
+let recover_files ?config ?policy ?journal ?journal_path ?trace ?until ~snapshot_path () =
   let enforcer = ref None in
   let stash = ref None in
   let on_snapshot snap = stash := List.assoc_opt Enforcer.ext_tag (Vids.Snapshot.ext snap) in
@@ -22,7 +22,7 @@ let recover_files ?config ?policy ?journal ?journal_path ?trace_path ?until ~sna
   let inject pkt = match !enforcer with Some e -> ignore (Enforcer.ingest e pkt) | None -> () in
   match
     Vids.Recovery.recover_files ?config ~prepare ~on_snapshot ~on_ext ~inject ?journal_path
-      ?trace_path ?until ~snapshot_path ()
+      ?trace ?until ~snapshot_path ()
   with
   | Error e -> Error e
   | Ok report -> (

@@ -6,12 +6,12 @@
     + the snapshot's [enforce] extension payload is stashed before any
       restore work ([on_snapshot]);
     + the enforcer is created and its table restored inside [prepare] —
-      before the journal merge and the replay scheduling, so the gate
-      exists (with the checkpoint's rules and token-bucket levels) when
-      the first replayed packet arrives;
+      before the journal merge and the replay, so the gate exists (with
+      the checkpoint's rules and token-bucket levels) when the first
+      replayed packet arrives;
     + journaled enforcement decisions are {e scheduled} at their recorded
-      times ([on_ext], after replay scheduling) so replayed packets from
-      before each decision still see the pre-decision table;
+      times ([on_ext]), so replayed packets from before each decision
+      still see the pre-decision table;
     + replay is routed through {!Enforcer.ingest} ([inject]) so packets
       the gate dropped live are dropped again instead of reaching the
       engine.
@@ -25,7 +25,7 @@ val recover_files :
   ?policy:Enforcer.policy ->
   ?journal:(Vids.Journal.entry -> unit) ->
   ?journal_path:string ->
-  ?trace_path:string ->
+  ?trace:Vids.Trace.record list ->
   ?until:Dsim.Time.t ->
   snapshot_path:string ->
   unit ->

@@ -1,13 +1,11 @@
 (* The live-ingestion daemon: one loop from the wire to the engine.
 
-   Ordering is the whole trick.  Offline replay pre-schedules every packet
-   and lets the scheduler interleave them with timers (packets at an
-   instant beat timers at that instant).  Live, packets arrive one at a
-   time, so for each record the loop calls [advance_to] — which runs
-   events strictly before the record's timestamp and leaves same-instant
-   timers queued — and then injects the packet by hand.  That reproduces
-   the batch ordering exactly, which is why a live run's digest converges
-   with an offline replay of its own capture file. *)
+   Ordering is the whole trick, and it lives in [Vids.Trace.stream]: for
+   each record, [advance_to] its timestamp — running events strictly
+   before it, leaving same-instant timers queued — then deliver the
+   packet.  Offline replay and recovery run that same step, which is why a
+   live run's digest converges with an offline replay of its own capture
+   file. *)
 
 type source =
   | Pcap_file of { path : string; pace : bool }
@@ -17,36 +15,36 @@ type config = {
   engine_config : Vids.Config.t option;
   spec_overrides : (string * Efsm.Machine.spec) list;
   queue_capacity : int;
-  queue_high_water : int option;
   checkpoint_every_s : float;
   snapshot_path : string option;
   journal_path : string option;
   record_path : string option;
   quarantine_threshold : int;
-  quarantine_window_s : float;
-  quarantine_ttl_s : float;
   max_runtime_s : float option;
   batch : int;
-  poll_interval_s : float;
   enforce : Enforce.Enforcer.policy option;
 }
+
+(* Fixed tuning: a source is quarantined for [quarantine_ttl_s] after
+   [quarantine_threshold] parse errors within [quarantine_window_s]; an
+   idle loop naps [poll_interval_s]; the shed queue keeps its default
+   3/4 high-water mark. *)
+let quarantine_window_s = 10.0
+let quarantine_ttl_s = 30.0
+let poll_interval_s = 0.01
 
 let default =
   {
     engine_config = None;
     spec_overrides = [];
     queue_capacity = 4096;
-    queue_high_water = None;
     checkpoint_every_s = 5.0;
     snapshot_path = None;
     journal_path = None;
     record_path = None;
     quarantine_threshold = 8;
-    quarantine_window_s = 10.0;
-    quarantine_ttl_s = 30.0;
     max_runtime_s = None;
     batch = 256;
-    poll_interval_s = 0.01;
     enforce = None;
   }
 
@@ -129,9 +127,7 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
         let states = List.rev rev_states in
         let sched = Dsim.Scheduler.create () in
         let engine =
-          match config.engine_config with
-          | Some c -> Vids.Engine.create ~config:c ~overrides:config.spec_overrides sched
-          | None -> Vids.Engine.create ~overrides:config.spec_overrides sched
+          Vids.Engine.create ?config:config.engine_config ~overrides:config.spec_overrides sched
         in
         Vids.Engine.set_telemetry engine ?metrics ?flight ();
         Vids.Engine.set_profiler engine prof;
@@ -148,22 +144,20 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
           Option.map
             (fun policy ->
               Enforce.Enforcer.create ~policy
-                ?journal:(Option.map (fun w e -> Vids.Journal.append w e) journal_w)
+                ?journal:(Option.map Vids.Journal.append journal_w)
                 sched engine)
             config.enforce
         in
         let record_oc =
           Option.map
-            (fun p -> open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 p)
+            (fun p -> open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 p)
             config.record_path
         in
-        let queue =
-          Shed_queue.create ?high_water:config.queue_high_water
-            ~capacity:config.queue_capacity ()
-        in
+        let record_w = Option.map Pcap.to_channel record_oc in
+        let queue = Shed_queue.create ~capacity:config.queue_capacity () in
         let quar =
-          Quarantine.create ~threshold:config.quarantine_threshold
-            ~window_s:config.quarantine_window_s ~ttl_s:config.quarantine_ttl_s ()
+          Quarantine.create ~threshold:config.quarantine_threshold ~window_s:quarantine_window_s
+            ~ttl_s:quarantine_ttl_s ()
         in
         let ctr name help =
           Option.map (fun m -> Obs.Metrics.counter m name ~help) metrics
@@ -171,7 +165,6 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
         let packets_c = ctr "vids_ingest_packets_total" "Records dispatched to the engine" in
         let shed_c = ctr "vids_ingest_shed_total" "Records refused or displaced by the ingest queue" in
         let quarantines_c = ctr "vids_ingest_quarantines_total" "Sources entering quarantine" in
-        let checkpoints_c = ctr "vids_ingest_checkpoints_total" "Checkpoints saved by the daemon" in
         let dispatch_h =
           Option.map
             (fun m ->
@@ -190,60 +183,44 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
         let wall0 = clock.Clock.now () in
         let vat now_s = Dsim.Time.of_sec (now_s -. wall0) in
         let quantiles = Dsim.Stat.Quantiles.create () in
-        let alloc = Dsim.Packet.allocator () in
         let dispatched = ref 0 in
         let parse_errors = ref 0 in
-        let checkpoints = ref 0 in
-        let seq = ref 0 in
-        let take_checkpoint () =
-          match config.snapshot_path with
-          | None -> ()
-          | Some path ->
-              penter Obs.Prof.Checkpoint;
-              (* The capture must be durable at least up to the snapshot
-                 instant, or a kill -9 leaves a snapshot whose replay
-                 suffix is still sitting in this channel's buffer. *)
-              Option.iter flush record_oc;
-              let at = Dsim.Scheduler.now sched in
-              (* The block table (with live token-bucket levels) rides in
-                 the checkpoint so a kill -9 recovers into the same
-                 enforcement state, not just the same analysis state. *)
-              let ext =
-                match enforcer with
-                | None -> []
-                | Some e -> [ (Enforce.Enforcer.ext_tag, Enforce.Enforcer.snapshot_payload e) ]
-              in
-              let snap = Vids.Snapshot.capture ~seq:(!seq + 1) ~ext ~at engine in
-              Vids.Snapshot.save ~path snap;
-              incr seq;
-              incr checkpoints;
-              tick checkpoints_c;
-              Option.iter
-                (fun w ->
-                  Vids.Journal.append w (Vids.Journal.Checkpoint { at; seq = !seq });
-                  penter Obs.Prof.Journal_fsync;
-                  Vids.Journal.fsync_writer w;
-                  pexit Obs.Prof.Journal_fsync)
-                journal_w;
-              Option.iter
-                (fun fl -> Obs.Trace.record fl ~at (Obs.Trace.Checkpoint { seq = !seq }))
-                flight;
-              pexit Obs.Prof.Checkpoint
+        (* The block table (with live token-bucket levels) rides in each
+           checkpoint so a kill -9 recovers into the same enforcement
+           state, not just the same analysis state.  The capture is
+           flushed first: it must be durable at least up to the snapshot
+           instant, or a kill -9 leaves a snapshot whose replay suffix is
+           still sitting in the tee's buffer. *)
+        let checkpointer =
+          Option.map
+            (fun path ->
+              Vids.Checkpointer.create ?registry:metrics ?flight ?prof ?journal:journal_w
+                ?ext:(Option.map (fun e () -> Enforce.Enforcer.snapshot_ext e) enforcer)
+                ~before_save:(fun () -> Option.iter flush record_oc)
+                ~path sched engine)
+            config.snapshot_path
         in
-        (* Periodic checkpoints ride the virtual clock as self-re-arming
-           events: under live pacing the grid tracks wall time through
-           the clock bridge, and under a manual clock it is a
-           deterministic grid. *)
-        if config.checkpoint_every_s > 0.0 && config.snapshot_path <> None then begin
-          let period = Dsim.Time.of_sec config.checkpoint_every_s in
-          let rec arm t =
-            ignore
-              (Dsim.Scheduler.schedule_at sched t (fun () ->
-                   take_checkpoint ();
-                   arm (Dsim.Time.add t period)))
-          in
-          arm (Dsim.Time.add (Dsim.Scheduler.now sched) period)
-        end;
+        (* Periodic checkpoints ride the virtual clock: under live pacing
+           the grid tracks wall time through the clock bridge, and under a
+           manual clock it is a deterministic grid. *)
+        if config.checkpoint_every_s > 0.0 then
+          Option.iter
+            (fun c ->
+              Vids.Checkpointer.every c ~period:(Dsim.Time.of_sec config.checkpoint_every_s))
+            checkpointer;
+        let feed =
+          Vids.Trace.stream sched engine
+            ~deliver:
+              (match enforcer with
+              | Some e ->
+                  fun pkt ->
+                    (* The gate's own verdict cost; the engine spans it
+                       forwards into nest underneath as children. *)
+                    penter Obs.Prof.Enforce_gate;
+                    ignore (Enforce.Enforcer.ingest e pkt);
+                    pexit Obs.Prof.Enforce_gate
+              | None -> Vids.Engine.process_packet engine)
+        in
         let dispatch r =
           penter Obs.Prof.Drive;
           (* Never move the clock backwards: a wall-timestamped datagram
@@ -252,29 +229,13 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
           let r = { r with Vids.Trace.at } in
           let before = (Vids.Engine.counters engine).Vids.Engine.malformed_packets in
           let t0 = Unix.gettimeofday () in
-          Dsim.Scheduler.advance_to sched at;
-          let pkt =
-            Dsim.Packet.make alloc ~src:r.Vids.Trace.src ~dst:r.Vids.Trace.dst
-              ~sent_at:at r.Vids.Trace.payload
-          in
-          (match enforcer with
-          | Some e ->
-              (* The gate's own verdict cost; the engine spans it forwards
-                 into nest underneath as children. *)
-              penter Obs.Prof.Enforce_gate;
-              ignore (Enforce.Enforcer.ingest e pkt);
-              pexit Obs.Prof.Enforce_gate
-          | None -> Vids.Engine.process_packet engine pkt);
+          feed r;
           let dt = Unix.gettimeofday () -. t0 in
           Dsim.Stat.Quantiles.add quantiles dt;
           Option.iter (fun h -> Obs.Metrics.observe h dt) dispatch_h;
           incr dispatched;
           tick packets_c;
-          Option.iter
-            (fun oc ->
-              output_string oc (Vids.Trace.record_to_line r);
-              output_char oc '\n')
-            record_oc;
+          Option.iter (fun w -> Pcap.write w r) record_w;
           let after = (Vids.Engine.counters engine).Vids.Engine.malformed_packets in
           if after > before then begin
             parse_errors := !parse_errors + (after - before);
@@ -401,7 +362,7 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
                  then nap.  [advance_to] ignores targets in the past, so
                  an unpaced capture that raced ahead is left alone. *)
               Dsim.Scheduler.advance_to sched (vat (clock.Clock.now ()));
-              clock.Clock.sleep config.poll_interval_s
+              clock.Clock.sleep poll_interval_s
             end
           end
         done;
@@ -414,7 +375,7 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
           (* [advance_to] runs timers strictly before each packet, so a
              timer due exactly at the last packet's instant is still
              pending here; fire it, or the final state disagrees with an
-             offline [replay_until] of the same capture at this horizon. *)
+             offline [Vids.Trace.replay] of the same capture at this horizon. *)
           Dsim.Scheduler.run_until sched (Dsim.Scheduler.now sched);
           note "shutdown"
             (match reason with
@@ -423,7 +384,7 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
             | Deadline -> "deadline"
             | Source_dead -> "source_dead"
             | Killed -> assert false);
-          take_checkpoint ();
+          Option.iter Vids.Checkpointer.take checkpointer;
           Option.iter Vids.Journal.close_writer journal_w;
           Option.iter
             (fun oc ->
@@ -440,7 +401,7 @@ let run ?clock ?metrics ?flight ?prof ?stop ?hard_kill ?on_batch config sources 
             stop_reason = reason;
             dispatched = !dispatched;
             parse_errors = !parse_errors;
-            checkpoints = !checkpoints;
+            checkpoints = Option.fold ~none:0 ~some:Vids.Checkpointer.count checkpointer;
             queue = Shed_queue.stats queue;
             quarantine = Quarantine.stats quar ~now:(clock.Clock.now ());
             pcap =

@@ -5,11 +5,11 @@
     ingestion loop that polls every source, admits datagrams through the
     per-source {!Quarantine} and the watermarked {!Shed_queue}, bridges
     the wall clock onto the virtual clock, and dispatches each record
-    into a {!Vids.Engine} with the exact ordering discipline offline
-    replay uses — [Dsim.Scheduler.advance_to] to the record's timestamp,
-    then [process_packet], so packets at an instant always beat timers
-    at that instant and a live run converges to the same digest as a
-    batch replay of its own capture.
+    into a {!Vids.Engine} through {!Vids.Trace.stream} — the replay step
+    [analyze] and {!Vids.Recovery} run too — so packets at an instant
+    always beat timers at that instant and a live run converges to the
+    same digest as an offline replay of its own capture.  Checkpoints go
+    through {!Vids.Checkpointer}.
 
     Robustness contract:
     - Parse failures are counted and charged to the sending transport
@@ -37,18 +37,17 @@ type config = {
   spec_overrides : (string * Efsm.Machine.spec) list;
       (** [.vspec]-loaded machine replacements, keyed by machine name;
           see {!Vids.Spec_load.load_files}. *)
-  queue_capacity : int;
-  queue_high_water : int option;  (** Default: {!Shed_queue.create}'s 3/4. *)
+  queue_capacity : int;  (** Media is shed above 3/4 of it. *)
   checkpoint_every_s : float;  (** <= 0 disables periodic checkpoints. *)
   snapshot_path : string option;
   journal_path : string option;
-  record_path : string option;  (** Capture every dispatched record ({!Vids.Trace} text). *)
-  quarantine_threshold : int;
-  quarantine_window_s : float;
-  quarantine_ttl_s : float;
+  record_path : string option;
+      (** Capture every dispatched record, with the timestamp it was
+          dispatched at, as libpcap ({!Pcap.write}); flushed before each
+          checkpoint, fsynced at shutdown. *)
+  quarantine_threshold : int;  (** Parse errors within 10 s that quarantine a source for 30 s. *)
   max_runtime_s : float option;  (** Wall-clock deadline (soak harness). *)
   batch : int;  (** Max records pulled per source per loop turn. *)
-  poll_interval_s : float;  (** Idle nap when every source is dry. *)
   enforce : Enforce.Enforcer.policy option;
       (** Prevention mode: route every dispatch through an
           {!Enforce.Enforcer} gate whose decisions are journaled through
@@ -60,7 +59,7 @@ type config = {
 
 val default : config
 (** 4096-deep queue, 5 s checkpoints (when [snapshot_path] is set),
-    quarantine 8 errors / 10 s / 30 s TTL, batch 256, 10 ms poll. *)
+    quarantine after 8 errors, batch 256.  The idle loop naps 10 ms. *)
 
 type stop_reason =
   | Eof  (** Every file source exhausted (and no socket still alive). *)
@@ -102,9 +101,9 @@ val run :
     memory speed.  [on_batch] fires once per loop turn — the soak
     harness's sampling hook.  [prof] attaches an {!Obs.Prof} hot-path
     profiler: the daemon wraps source polling ([Ingest_poll] — includes
-    pacing sleeps), each record dispatch ([Drive]), the enforcement gate
-    ([Enforce_gate]), checkpoints ([Checkpoint]) and the journal's
-    durability sync ([Journal_fsync]); the engine's parse/dispatch/detect
+    pacing sleeps), each record dispatch ([Drive]) and the enforcement
+    gate ([Enforce_gate]); the checkpointer adds [Checkpoint] and the
+    journal's durability sync ([Journal_fsync]); the engine's parse/dispatch/detect
     spans nest inside.  [Error] is reserved for startup failures
     (unreadable capture, no sources); once the loop is entered every
     fault is contained and reported through the {!report}. *)

@@ -428,6 +428,44 @@ let test_fail_closed_on_corrupt_restore () =
   Alcotest.(check bool) "lockdown flagged" true
     (BT.lockdown (Enforce.Enforcer.table closed_e))
 
+(* [vids-cli detect --enforce] with checkpoints: each checkpoint carries
+   the enforcement table and the journal holds every decision, so
+   [vids-cli rules] and [recover --enforce] see what the live run was
+   blocking. *)
+let test_detect_checkpoints_enforcement () =
+  let ckpt = Filename.temp_file "vids-detect" ".checkpoint" in
+  let journal = ckpt ^ ".journal" in
+  let cli args =
+    let ic = Unix.open_process_args_in "../bin/vids_cli.exe" (Array.of_list ("vids-cli" :: args)) in
+    let out = In_channel.input_all ic in
+    (Unix.close_process_in ic, out)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ ckpt; ckpt ^ ".1"; journal ])
+    (fun () ->
+      let status, _ =
+        cli
+          [ "detect"; "invite-flood"; "--enforce"; "--checkpoint-interval"; "5";
+            "--checkpoint-file"; ckpt ]
+      in
+      Alcotest.(check bool) "detect exits 3 (attack alerts)" true (status = Unix.WEXITED 3);
+      let status, rules = cli [ "rules"; ckpt ] in
+      Alcotest.(check bool) "rules exits 0" true (status = Unix.WEXITED 0);
+      let active = try Scanf.sscanf rules "%d active rule" Fun.id with _ -> 0 in
+      Alcotest.(check bool) "checkpoint lists an active rule" true (active >= 1);
+      match Vids.Journal.load_lenient journal with
+      | Error e -> Alcotest.failf "journal: %s" e
+      | Ok (entries, _) ->
+          Alcotest.(check bool) "journal holds enforcement decisions" true
+            (List.exists
+               (function
+                 | Vids.Journal.Ext { tag; _ } -> String.equal tag Enforce.Enforcer.ext_tag
+                 | _ -> false)
+               entries))
+
 let suite =
   [
     ( "enforce.source_key",
@@ -462,5 +500,7 @@ let suite =
           test_journal_replay_is_scheduled;
         Alcotest.test_case "fail-open vs fail-closed on corrupt state" `Quick
           test_fail_closed_on_corrupt_restore;
+        Alcotest.test_case "detect --enforce checkpoints its rules" `Quick
+          test_detect_checkpoints_enforcement;
       ] );
   ]

@@ -348,7 +348,7 @@ let daemon_converges_with_replay () =
      bridge → advance_to/process) digests equal to the batch replay at
      the same horizon. *)
   let horizon = report.Ingest.Daemon.horizon in
-  let _sched, offline = Vids.Trace.replay_until ~until:horizon records in
+  let _sched, offline = Vids.Trace.replay ~until:horizon records in
   check_str "digest equals offline replay"
     (Vids.Snapshot.digest ~at:horizon offline)
     (Vids.Snapshot.digest ~at:horizon report.Ingest.Daemon.engine)
@@ -424,12 +424,47 @@ let daemon_sigterm_preserves_alerts () =
     (alert_keys clean.Ingest.Daemon.engine)
     (alert_keys interrupted.Ingest.Daemon.engine)
 
+(* Reads a capture the way [vids-cli recover] does: records with their
+   own timestamps, plus whether the file ends inside a frame. *)
+let read_capture path =
+  let ic = open_in_bin path in
+  match Ingest.Pcap.of_channel ic with
+  | Error e -> Alcotest.failf "%s: %s" path e
+  | Ok reader ->
+      let rec go acc =
+        match Ingest.Pcap.next reader with
+        | None -> List.rev acc
+        | Some (Ingest.Pcap.Record r) -> go (r :: acc)
+        | Some (Ingest.Pcap.Skipped why) -> Alcotest.failf "%s: frame skipped: %s" path why
+      in
+      let records = go [] in
+      close_in ic;
+      (records, (Ingest.Pcap.stats reader).Ingest.Pcap.truncated_tail)
+
+(* Recovers from the survivors — snapshot + journal + the capture read
+   back — and checks the outcome digest-converges with an offline replay
+   of the records the capture still holds, at the recovered horizon.
+   Returns the records replayed past the checkpoint and whether the
+   capture's tail was torn. *)
+let recover_matches_capture ~snap ~journal ~capture =
+  let records, torn = read_capture capture in
+  match Vids.Recovery.recover_files ~journal_path:journal ~trace:records ~snapshot_path:snap () with
+  | Error e -> Alcotest.failf "recovery: %s" e
+  | Ok fr ->
+      let o = fr.Vids.Recovery.outcome in
+      let at = Dsim.Scheduler.now o.Vids.Recovery.sched in
+      let _sched, offline = Vids.Trace.replay ~until:at records in
+      check_str "recovered digest equals replay of the capture"
+        (Vids.Snapshot.digest ~at offline)
+        (Vids.Snapshot.digest ~at o.Vids.Recovery.engine);
+      (o.Vids.Recovery.replayed, torn)
+
 let daemon_hard_kill_recovers () =
   let records = flood_then_benign () in
   let path = tmp_path ".pcap" in
   let snap = tmp_path ".ck" in
   let journal = snap ^ ".journal" in
-  let capture = tmp_path ".trace" in
+  let capture = tmp_path ".tee.pcap" in
   Ingest.Pcap.write_file path records;
   let config =
     {
@@ -454,29 +489,22 @@ let daemon_hard_kill_recovers () =
   in
   check "killed" true (killed.Ingest.Daemon.stop_reason = Ingest.Daemon.Killed);
   check "a checkpoint had been saved" true (Sys.file_exists snap);
-  (* Recover from the survivors: snapshot + journal + the daemon's own
-     capture file.  The outcome must digest-converge with an offline
-     replay of that capture at the recovered horizon. *)
-  (match
-     Vids.Recovery.recover_files ~journal_path:journal ~trace_path:capture
-       ~snapshot_path:snap ()
-   with
-  | Error e -> Alcotest.failf "recovery: %s" e
-  | Ok fr ->
-      let o = fr.Vids.Recovery.outcome in
-      let at = Dsim.Scheduler.now o.Vids.Recovery.sched in
-      let dispatched_records =
-        match open_in_bin capture with
-        | ic ->
-            let rs, bad = Vids.Trace.load_lenient ic in
-            close_in ic;
-            check_int "capture parses cleanly" 0 (List.length bad);
-            rs
-      in
-      let _sched, offline = Vids.Trace.replay_until ~until:at dispatched_records in
-      check_str "recovered digest equals replay of the capture"
-        (Vids.Snapshot.digest ~at offline)
-        (Vids.Snapshot.digest ~at o.Vids.Recovery.engine));
+  (* The daemon flushes its pcap tee at each checkpoint; what it wrote
+     after the last one is still buffered.  Write it out, as the kernel
+     may have before the kill, so the tee holds records past the
+     checkpoint for recovery to replay. *)
+  flush_all ();
+  let replayed, torn = recover_matches_capture ~snap ~journal ~capture in
+  check "tee intact" false torn;
+  check "records past the checkpoint replayed" true (replayed > 0);
+  (* The same tee cut mid-frame, as a kill landing inside a write leaves
+     it: the torn tail is reported, only that frame is lost, and recovery
+     still converges with a replay of the readable prefix. *)
+  let bytes = read_bytes capture in
+  write_bytes capture (String.sub bytes 0 (String.length bytes - 5));
+  let replayed', torn = recover_matches_capture ~snap ~journal ~capture in
+  check "truncated tail reported" true torn;
+  check_int "only the torn frame lost" (replayed - 1) replayed';
   List.iter (fun p -> if Sys.file_exists p then Sys.remove p)
     [ path; snap; snap ^ ".1"; journal; capture ]
 

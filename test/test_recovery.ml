@@ -1,6 +1,6 @@
 (* Crash-safety tests: snapshot/journal codecs (round-trip + fuzz), the
    recovery convergence property (checkpoint ∘ crash ∘ recover ≡ no-crash),
-   and the supervisor's restart/backoff/standby accounting. *)
+   lenient capture and journal loading, and snapshot fallback. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -150,14 +150,21 @@ let trace_record_gen =
          (pair host_gen (int_range 1 65535))
          (string_size ~gen:any_byte (int_range 0 200))))
 
-let trace_record_arb = QCheck.make ~print:Vids.Trace.record_to_line trace_record_gen
+let trace_record_arb =
+  QCheck.make
+    ~print:(fun (r : Vids.Trace.record) ->
+      Printf.sprintf "%d %s %s %S" (Dsim.Time.to_us r.at) (Dsim.Addr.to_string r.src)
+        (Dsim.Addr.to_string r.dst) r.payload)
+    trace_record_gen
 
-let trace_line_roundtrip =
-  q "trace: record_of_line (record_to_line r) = r (arbitrary payload bytes)" trace_record_arb
-    (fun r ->
-      match Vids.Trace.record_of_line (Vids.Trace.record_to_line r) with
-      | Ok r' -> r' = r
-      | Error _ -> false)
+(* The capture format the daemon's tee writes and recovery reads. *)
+let trace_pcap_roundtrip =
+  q "trace: pcap read (write r) = r (arbitrary payload bytes)" trace_record_arb (fun r ->
+      let path = Filename.temp_file "vids-rec" ".pcap" in
+      Ingest.Pcap.write_file path [ r ];
+      let back = Ingest.Pcap.read_file path in
+      Sys.remove path;
+      back = Ok ([ r ], []))
 
 let alert_gen =
   QCheck.Gen.(
@@ -232,7 +239,7 @@ let crc32_vectors () =
 
 let engine_at ~config ~calls cut =
   let trace = make_trace ~calls in
-  Vids.Trace.replay_until ?config ~until:cut trace
+  Vids.Trace.replay ?config ~until:cut trace
 
 let snapshot_text_roundtrip () =
   let sched, engine = engine_at ~config:None ~calls:12 (ms 450.) in
@@ -396,9 +403,9 @@ let converges ~governed ~calls ~frac =
   let cut =
     Dsim.Time.of_us (max 1 (int_of_float (frac *. float_of_int (Dsim.Time.to_us horizon))))
   in
-  let _, straight = Vids.Trace.replay_until ?config ~until:horizon trace in
+  let _, straight = Vids.Trace.replay ?config ~until:horizon trace in
   let reference = Vids.Snapshot.digest ~at:horizon straight in
-  let sched, engine = Vids.Trace.replay_until ?config ~until:cut trace in
+  let sched, engine = Vids.Trace.replay ?config ~until:cut trace in
   let snap = Vids.Snapshot.capture ~seq:1 ~at:(Dsim.Scheduler.now sched) engine in
   (* Through the wire format, as a real crash would read it. *)
   match Vids.Snapshot.of_string (Vids.Snapshot.to_string snap) with
@@ -549,22 +556,50 @@ let journal_suffix_split () =
   check_int "timestamp fallback" 1
     (List.length (Vids.Journal.suffix_after ~seq:99 ~at:(ms 20.) entries))
 
+(* A capture with a frame that is not IPv4/UDP between two records and a
+   frame torn mid-write at its end: both records survive, the bad frame
+   is reported by index, and the torn tail is flagged. *)
 let trace_lenient_load () =
   let r1 =
     { Vids.Trace.at = ms 1.; src = sip_addr "10.0.0.1"; dst = sip_addr "10.0.0.2"; payload = "x" }
   in
   let r2 = { r1 with Vids.Trace.at = ms 2.; payload = "line\nwith\nnewlines\x00\xff" } in
+  let whole =
+    let path = Filename.temp_file "vids-rec" ".pcap" in
+    Ingest.Pcap.write_file path [ r1; r2 ];
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove path;
+    s
+  in
+  let frame_header len =
+    let b = Buffer.create 16 in
+    List.iter (fun v -> Buffer.add_int32_le b (Int32.of_int v)) [ 0; 1500; len; len ];
+    Buffer.contents b
+  in
+  (* Ethernet carrying ARP (ethertype 0x0806), zero-padded. *)
+  let arp = String.make 12 '\x02' ^ "\x08\x06" ^ String.make 28 '\x00' in
+  let r1_end = 24 + 16 + 42 + String.length r1.Vids.Trace.payload in
   let content =
-    String.concat "\n"
-      [ Vids.Trace.record_to_line r1; "garbage here"; Vids.Trace.record_to_line r2; "1 2 3 zz" ]
-    ^ "\n"
+    String.sub whole 0 r1_end ^ frame_header (String.length arp) ^ arp
+    ^ String.sub whole r1_end (String.length whole - r1_end)
+    ^ frame_header 60 ^ String.make 20 '\x00'
   in
   with_temp_file content (fun path ->
+      (match Ingest.Pcap.read_file path with
+      | Error e -> Alcotest.failf "read_file: %s" e
+      | Ok (records, skipped) ->
+          check "good records kept" true (records = [ r1; r2 ]);
+          check "bad frame reported" true (List.map fst skipped = [ 2 ]));
       let ic = open_in_bin path in
-      let records, skipped = Vids.Trace.load_lenient ic in
-      close_in ic;
-      check "good records kept" true (records = [ r1; r2 ]);
-      check "bad lines reported" true (List.map fst skipped = [ 2; 4 ]))
+      match Ingest.Pcap.of_channel ic with
+      | Error e -> Alcotest.failf "of_channel: %s" e
+      | Ok reader ->
+          let rec drain () = match Ingest.Pcap.next reader with None -> () | Some _ -> drain () in
+          drain ();
+          close_in ic;
+          check "torn tail flagged" true (Ingest.Pcap.stats reader).Ingest.Pcap.truncated_tail)
 
 (* ------------------------------------------------------------------ *)
 (* Files: rotation and fallback                                        *)
@@ -581,10 +616,10 @@ let rotation_and_fallback () =
       let calls = 10 in
       let trace = make_trace ~calls in
       let horizon = trace_horizon ~calls in
-      let sched, engine = Vids.Trace.replay_until ~until:(ms 300.) trace in
+      let sched, engine = Vids.Trace.replay ~until:(ms 300.) trace in
       Vids.Snapshot.save ~path
         (Vids.Snapshot.capture ~seq:1 ~at:(Dsim.Scheduler.now sched) engine);
-      let sched2, engine2 = Vids.Trace.replay_until ~until:(ms 500.) trace in
+      let sched2, engine2 = Vids.Trace.replay ~until:(ms 500.) trace in
       Vids.Snapshot.save ~path
         (Vids.Snapshot.capture ~seq:2 ~at:(Dsim.Scheduler.now sched2) engine2);
       check "previous rotated" true (Sys.file_exists (Vids.Snapshot.previous_path path));
@@ -593,8 +628,7 @@ let rotation_and_fallback () =
       let oc = open_out_bin path in
       output_string oc "VIDS-SNAPSHOT 1 2 500000\ntotally torn";
       close_out oc;
-      match Vids.Recovery.recover_files ~trace_path:"/nonexistent/trace" ~until:horizon
-              ~snapshot_path:path ()
+      match Vids.Recovery.recover_files ~until:horizon ~snapshot_path:path ()
       with
       | Error e -> Alcotest.failf "fallback recovery failed: %s" e
       | Ok fr ->
@@ -726,20 +760,6 @@ let journal_corruption_fuzz =
                    (List.map Vids.Journal.entry_to_line entries)
                    journal_fixture_lines intact)))
 
-let trace_fixture_lines = List.map Vids.Trace.record_to_line (make_trace ~calls:4)
-
-let trace_corruption_fuzz =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"trace: corruption never raises, keeps CRC-valid prefix"
-       ~count:300 corruption_arb (fun op ->
-         with_corrupt_file trace_fixture_lines op (fun path intact ->
-             let ic = open_in_bin path in
-             let records, _bad = Vids.Trace.load_lenient ic in
-             close_in ic;
-             prefix_matches
-               (List.map Vids.Trace.record_to_line records)
-               trace_fixture_lines intact)))
-
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -747,7 +767,7 @@ let suite =
     ( "recovery",
       [
         value_token_roundtrip;
-        trace_line_roundtrip;
+        trace_pcap_roundtrip;
         journal_line_roundtrip;
         hex_codec_reference;
         tc "hex decoders reject non-hex digits" hex_decoder_rejects;
@@ -769,6 +789,5 @@ let suite =
         tc "journal merge idempotent" merge_idempotent;
         tc "downtime survives a checkpoint" downtime_survives_checkpoint;
         journal_corruption_fuzz;
-        trace_corruption_fuzz;
       ] );
   ]
